@@ -68,32 +68,47 @@ def _mode_impute(values: np.ndarray) -> np.ndarray:
     return out
 
 
+# Size budget of one (patterns x pool) float64 key temporary; a chunk holds
+# at least one row.  Rows are independent, so chunking never changes the
+# result, only peak memory.
+_KEY_BUDGET_BYTES = 32 * 2**20
+
+
 def _knn_majority(
     target_block: np.ndarray, pool_block: np.ndarray, pool_votes: np.ndarray, k: int
 ) -> np.ndarray:
     """Majority vote of each target row's k Hamming-nearest pool rows.
 
+    A row's vote depends only on its values in the block, so it is computed
+    once per distinct target pattern and broadcast back to the rows.
     Hamming distance on binary blocks reduces to |a| + |b| - 2 a.b, so the
     distance matrix comes from one matmul; neighbor sets are selected on the
     composite key distance * n_pool + index, which is unique per pool row
-    and therefore deterministic.  Majority ties resolve to 0.
+    and therefore deterministic.  Majority ties resolve to 0.  A block with
+    no columns gives every pool row distance 0, so the first k pool rows
+    vote.
+
+    Cost is O(n_patterns x n_pool) time, where n_patterns is at most
+    2 ** n_cols and at most the number of target rows; the key matrix is
+    built in row chunks of about ``_KEY_BUDGET_BYTES`` each.
     """
     n_pool = pool_block.shape[0]
     kk = min(k, n_pool)
-    tf = target_block.astype(np.float64)
+    patterns, inverse = np.unique(target_block, axis=0, return_inverse=True)
+    tf = patterns.astype(np.float64)
     pf = pool_block.astype(np.float64)
     ones_t = tf.sum(axis=1, keepdims=True)
     ones_p = pf.sum(axis=1)
     index_term = np.arange(n_pool, dtype=np.float64)[None, :]
-    out = np.empty(target_block.shape[0], dtype=np.int8)
-    chunk = 8192
-    for lo in range(0, target_block.shape[0], chunk):
-        hi = min(lo + chunk, target_block.shape[0])
+    out = np.empty(patterns.shape[0], dtype=np.int8)
+    chunk = max(1, _KEY_BUDGET_BYTES // (8 * n_pool))
+    for lo in range(0, patterns.shape[0], chunk):
+        hi = min(lo + chunk, patterns.shape[0])
         keys = (ones_t[lo:hi] + ones_p[None, :] - 2.0 * (tf[lo:hi] @ pf.T)) * n_pool + index_term
         nearest = np.argpartition(keys, kk - 1, axis=1)[:, :kk]
         votes = pool_votes[nearest]
         out[lo:hi] = ((votes == 1).sum(axis=1) * 2 > kk).astype(np.int8)
-    return out
+    return out[inverse.reshape(-1)]  # numpy 2.0.0 returns the inverse as a column
 
 
 def _round_robin_impute(values: np.ndarray, k: int = 25, sweeps: int = 3) -> np.ndarray:
@@ -104,6 +119,11 @@ def _round_robin_impute(values: np.ndarray, k: int = 25, sweeps: int = 3) -> np.
     observed get a vote.  Columns become complete as soon as they are
     processed, so later columns (and later sweeps) see more context.
     Sweeps stop early once a full pass changes nothing.
+
+    Each column costs O(n_patterns x n_pool) time, where n_patterns is the
+    number of distinct context patterns among its missing rows (at most
+    2 ** (d - 1)), and memory linear in the rows plus a bounded key chunk
+    (see ``_knn_majority``).
     """
     work = values.copy()
     missing_mask = values == MISSING
@@ -120,18 +140,12 @@ def _round_robin_impute(values: np.ndarray, k: int = 25, sweeps: int = 3) -> np.
             if pool.size == 0:
                 raise ValueError(f"column {j} is fully missing; cannot impute")
             dist_cols = sorted(c for c in complete if c != j)
-            if dist_cols:
-                predicted = _knn_majority(
-                    work[np.ix_(rows, dist_cols)],
-                    work[np.ix_(pool, dist_cols)],
-                    values[pool, j],
-                    k,
-                )
-            else:
-                kk = min(k, pool.size)
-                votes = values[pool[:kk], j]
-                fill = np.int8(1 if (votes == 1).sum() * 2 > kk else 0)
-                predicted = np.full(rows.size, fill, dtype=np.int8)
+            predicted = _knn_majority(
+                work[np.ix_(rows, dist_cols)],
+                work[np.ix_(pool, dist_cols)],
+                values[pool, j],
+                k,
+            )
             if not np.array_equal(predicted, work[rows, j]):
                 changed = True
             work[rows, j] = predicted

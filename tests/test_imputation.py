@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from causalchron import imputation
 from causalchron.bayesnet import Dag
 from causalchron.dataset import MISSING, EventMatrix
 from causalchron.discovery import get_learner
@@ -62,6 +68,89 @@ class TestInitialImpute:
             out = initial_impute(m, method)
             observed = values != MISSING
             assert np.array_equal(out.values[observed], values[observed])
+
+
+def reference_round_robin(values, k=25, sweeps=3):
+    """Loop version of the round-robin fill, one missing cell at a time.
+
+    The pool is sorted by (Hamming distance over the complete columns, pool
+    index); the first k pool rows vote and majority ties go to 0.
+    """
+    work = values.copy()
+    missing = values == MISSING
+    d = values.shape[1]
+    complete = {j for j in range(d) if not missing[:, j].any()}
+    for _ in range(sweeps):
+        changed = False
+        for j in range(d):
+            rows = np.flatnonzero(missing[:, j])
+            pool = np.flatnonzero(~missing[:, j])
+            ctx = sorted(complete - {j})
+            if rows.size:
+                predicted = np.empty(rows.size, dtype=np.int8)
+                for t, r in enumerate(rows):
+                    dist = (work[np.ix_(pool, ctx)] != work[r, ctx]).sum(axis=1)
+                    nearest = pool[np.lexsort((np.arange(pool.size), dist))[:k]]
+                    ones = int((values[nearest, j] == 1).sum())
+                    predicted[t] = 1 if ones * 2 > nearest.size else 0
+                changed |= not np.array_equal(predicted, work[rows, j])
+                work[rows, j] = predicted
+            complete.add(j)
+        if not changed:
+            break
+    return work
+
+
+@st.composite
+def duplicate_heavy_matrices(draw):
+    """Rows drawn from a few base patterns, so rows repeat and distances tie.
+
+    Every cell may be missing, so often no column starts complete and the
+    first column filled has no context at all.
+    """
+    d = draw(st.integers(1, 5))
+    base = draw(arrays(np.int8, (draw(st.integers(1, 8)), d), elements=st.sampled_from([0, 1, MISSING])))
+    n = draw(st.integers(1, 70))
+    picks = draw(arrays(np.intp, n, elements=st.integers(0, base.shape[0] - 1)))
+    values = base[picks]
+    for j in range(d):
+        if (values[:, j] == MISSING).all():
+            values[draw(st.integers(0, n - 1)), j] = draw(st.sampled_from([0, 1]))
+    return values
+
+
+class TestRoundRobinReference:
+    @settings(max_examples=200, deadline=None)
+    @given(duplicate_heavy_matrices(), st.one_of(st.none(), st.integers(1, 4096)))
+    def test_matches_loop_reference(self, values, budget):
+        # budget=None keeps the module's key budget; a small one splits the
+        # distinct patterns over many chunks of varying size
+        m = EventMatrix(tuple(f"c{j}" for j in range(values.shape[1])), values)
+        with mock.patch.object(imputation, "_KEY_BUDGET_BYTES", budget or imputation._KEY_BUDGET_BYTES):
+            out = initial_impute(m, "round_robin")
+        assert np.array_equal(out.values, reference_round_robin(values))
+
+    def test_patterns_span_several_chunks(self, monkeypatch):
+        # six complete context columns take all 64 patterns, each three
+        # times; one copy of each pattern is missing in the last column
+        rng = np.random.default_rng(11)
+        patterns = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(np.int8)
+        context = np.repeat(patterns, 3, axis=0)
+        target = rng.integers(0, 2, size=(context.shape[0], 1)).astype(np.int8)
+        target[::3] = MISSING
+        values = np.hstack([context, target])
+        n_pool = int((target != MISSING).sum())
+        monkeypatch.setattr(imputation, "_KEY_BUDGET_BYTES", 8 * n_pool * 5)
+        assert len(np.unique(values[target[:, 0] == MISSING], axis=0)) > 5
+        out = initial_impute(EventMatrix(tuple("abcdefg"), values), "round_robin")
+        assert np.array_equal(out.values, reference_round_robin(values))
+
+    def test_scale_twenty_thousand_rows(self):
+        m, _ = simulate(ScenarioSpec(preset="chain-5", n_rows=20_000, missing_rate=0.3, seed=0))
+        out = initial_impute(m, "round_robin")
+        observed = m.values != MISSING
+        assert out.is_complete
+        assert np.array_equal(out.values[observed], m.values[observed])
 
 
 class TestEdgeChangeFraction:
