@@ -2,7 +2,7 @@
 
 Provides the graph type shared by every learner, conditional probability
 tables, Bayesian/maximum-likelihood parameter fitting, exact inference
-(joint enumeration up to 20 nodes, variable elimination above), BIC and
+(one einsum contraction of the CPTs of the ancestral set), BIC and
 log-likelihood scoring, d-separation, local Markov statements, ancestral
 sampling, and the edge-list / DOT / JSON exchange formats.
 
@@ -37,9 +37,6 @@ __all__ = [
     "local_markov_statements",
     "sample",
 ]
-
-#: node-count threshold below which exact inference enumerates the full joint
-ENUMERATION_LIMIT = 20
 
 #: probability floor replacing exact zeros in log-likelihood sums
 DEFAULT_LL_FLOOR = 1e-9
@@ -118,19 +115,15 @@ class Dag:
             node = ready.pop(0)
             order.append(node)
             newly = []
-            for child in self._children_raw(node):
+            for child in self._children[node]:
                 indeg[child] -= 1
                 if indeg[child] == 0:
                     newly.append(child)
             if newly:
-                pos = {n: i for i, n in enumerate(self.nodes)}
-                ready = sorted(ready + newly, key=pos.__getitem__)
+                ready = sorted(ready + newly, key=self._index.__getitem__)
         if len(order) != len(self.nodes):
             raise ValueError("graph contains a directed cycle")
         return tuple(order)
-
-    def _children_raw(self, node: str) -> list[str]:
-        return [c for p, c in self.edges if p == node]
 
     def descendants(self, node: str) -> frozenset[str]:
         seen: set[str] = set()
@@ -264,6 +257,14 @@ class Cpt:
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "p1", p1)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """P(node | parents) as a read-only array of shape ``(2,) * (k + 1)``, the node's axis last."""
+        p1 = self.p1.reshape((2,) * len(self.parents))
+        table = np.stack([1.0 - p1, p1], axis=-1)
+        table.flags.writeable = False
+        return table
+
 
 def _assignment_index(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     """Bit-pack columns into stratum indices (first column = high bit)."""
@@ -292,40 +293,52 @@ class DiscreteBayesNet:
     def cpt(self, node: str) -> Cpt:
         return self.cpts[self.dag._index[node]]
 
-    @cached_property
-    def _joint(self) -> np.ndarray:
-        """Full joint table for networks up to ENUMERATION_LIMIT nodes.
-
-        Entry s is the probability of the state whose bit i (counting the
-        first node as the highest bit) gives node i's value.
-        """
-        d = len(self.dag.nodes)
-        if d > ENUMERATION_LIMIT:
-            raise ValueError("network too large for joint enumeration")
-        states = np.arange(1 << d, dtype=np.int64)
-        shift = {n: d - 1 - i for i, n in enumerate(self.dag.nodes)}
-        joint = np.ones(1 << d, dtype=np.float64)
-        for cpt in self.cpts:
-            assign = np.zeros(1 << d, dtype=np.int64)
-            for p in cpt.parents:
-                assign = (assign << 1) | ((states >> shift[p]) & 1)
-            p1 = cpt.p1[assign]
-            value = (states >> shift[cpt.node]) & 1
-            joint *= np.where(value == 1, p1, 1.0 - p1)
-        return joint
-
-    def _state_mask(self, assignment: Mapping[str, int]) -> np.ndarray:
-        d = len(self.dag.nodes)
-        states = np.arange(1 << d, dtype=np.int64)
-        mask = np.ones(1 << d, dtype=bool)
-        for node, value in assignment.items():
-            shift = d - 1 - self.dag._index[node]
-            mask &= ((states >> shift) & 1) == int(value)
-        return mask
-
     def prob(self, assignment: Mapping[str, int]) -> float:
-        """Exact probability of a (partial) assignment, by enumeration."""
-        return float(self._joint[self._state_mask(assignment)].sum())
+        """Exact probability of a (partial) assignment, read off :meth:`marginal`."""
+        nodes = tuple(assignment)
+        return float(self.marginal(nodes)[tuple(int(assignment[n]) for n in nodes)])
+
+    def marginal(self, nodes: Sequence[str]) -> np.ndarray:
+        """P(nodes) as an array of shape ``(2,) * len(nodes)``, one axis per node in argument order.
+
+        Only the CPTs of the ancestral closure of ``nodes`` enter: every
+        other node is barren and sums to one.  The other variables of the
+        closure are summed out one at a time with ``np.einsum``, first the
+        one whose result has the smallest scope (ties by node order).
+        Labels are renumbered at each step, so einsum's 52-label cap limits
+        the scope of a single factor, not the size of the network.
+        """
+        nodes = tuple(nodes)
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("marginal nodes must be distinct")
+        keep = set(nodes)
+        for n in nodes:
+            keep |= self.dag.ancestors(n)
+        factors = [(c.parents + (c.node,), c.table) for c in self.cpts if c.node in keep]
+        remaining = [n for n in self.dag.nodes if n in keep and n not in nodes]
+
+        def scope_without(v: str) -> tuple[str, ...]:
+            return tuple(dict.fromkeys(u for s, _ in factors if v in s for u in s if u != v))
+
+        while remaining:
+            v = min(remaining, key=lambda u: len(scope_without(u)))
+            remaining.remove(v)
+            scope = scope_without(v)
+            involved = [f for f in factors if v in f[0]]
+            factors = [f for f in factors if v not in f[0]]
+            factors.append((scope, _contract(involved, scope)))
+        return _contract(factors, nodes)
+
+
+def _contract(factors: Sequence[tuple[tuple[str, ...], np.ndarray]], out: Sequence[str]) -> np.ndarray:
+    """Product of (scope, table) factors, summed down to the variables ``out`` in that order."""
+    label: dict[str, int] = {}
+    operands: list = []
+    for scope, table in factors:
+        operands += [table, [label.setdefault(v, len(label)) for v in scope]]
+    if not operands:
+        return np.ones(())
+    return np.einsum(*operands, [label[v] for v in out])
 
 
 @dataclass(frozen=True)
@@ -512,132 +525,22 @@ def bic_score(g: Dag, data: EventMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _query_enumeration(bn: DiscreteBayesNet, target: str, evidence: Mapping[str, int]) -> float:
-    if target in evidence:
-        return float(evidence[target])
-    p_evidence = bn.prob(evidence) if evidence else 1.0
-    if p_evidence <= 0.0:
-        raise ZeroProbabilityEvidence(f"evidence {dict(evidence)!r} has probability 0")
-    p_joint = bn.prob({**evidence, target: 1})
-    return p_joint / p_evidence
+def query(bn: DiscreteBayesNet, target: str, evidence: Mapping[str, int] | None = None) -> float:
+    """Exact P(target=1 | evidence), read off ``bn.marginal`` over the evidence and the target.
 
-
-@dataclass
-class _Factor:
-    variables: tuple[str, ...]
-    table: np.ndarray  # shape (2,) * len(variables)
-
-    def restrict(self, node: str, value: int) -> "_Factor":
-        axis = self.variables.index(node)
-        table = np.take(self.table, value, axis=axis)
-        variables = self.variables[:axis] + self.variables[axis + 1 :]
-        return _Factor(variables, table)
-
-    def multiply(self, other: "_Factor") -> "_Factor":
-        variables = self.variables + tuple(v for v in other.variables if v not in self.variables)
-        a = self.table.reshape(self.table.shape + (1,) * (len(variables) - len(self.variables)))
-        perm = [other.variables.index(v) if v in other.variables else None for v in variables]
-        b_shape = tuple(2 if p is not None else 1 for p in perm)
-        order = [p for p in perm if p is not None]
-        b = np.transpose(other.table, axes=order).reshape(b_shape)
-        return _Factor(variables, a * b)
-
-    def marginalize(self, node: str) -> "_Factor":
-        axis = self.variables.index(node)
-        return _Factor(
-            self.variables[:axis] + self.variables[axis + 1 :],
-            self.table.sum(axis=axis),
-        )
-
-
-def _cpt_factor(cpt: Cpt) -> _Factor:
-    k = len(cpt.parents)
-    table = np.empty((2,) * (k + 1), dtype=np.float64)
-    p1 = cpt.p1.reshape((2,) * k) if k else cpt.p1[0]
-    variables = cpt.parents + (cpt.node,)
-    if k:
-        table[..., 1] = p1
-        table[..., 0] = 1.0 - p1
-    else:
-        table[1] = p1
-        table[0] = 1.0 - p1
-    return _Factor(variables, table)
-
-
-def _query_elimination(bn: DiscreteBayesNet, target: str, evidence: Mapping[str, int]) -> float:
-    if target in evidence:
-        return float(evidence[target])
-    factors = []
-    for cpt in bn.cpts:
-        f = _cpt_factor(cpt)
-        for node, value in evidence.items():
-            if node in f.variables:
-                f = f.restrict(node, int(value))
-        factors.append(f)
-    to_eliminate = [n for n in bn.dag.nodes if n != target and n not in evidence]
-
-    # min-fill ordering over the factor scopes
-    def fill_cost(node: str, scopes: list[frozenset[str]]) -> int:
-        joined: set[str] = set()
-        for s in scopes:
-            if node in s:
-                joined |= s
-        joined.discard(node)
-        return len(joined)
-
-    remaining = list(to_eliminate)
-    while remaining:
-        scopes = [frozenset(f.variables) for f in factors]
-        node = min(remaining, key=lambda n: (fill_cost(n, scopes), bn.dag._index[n]))
-        remaining.remove(node)
-        involved = [f for f in factors if node in f.variables]
-        others = [f for f in factors if node not in f.variables]
-        if involved:
-            prod = involved[0]
-            for f in involved[1:]:
-                prod = prod.multiply(f)
-            factors = others + [prod.marginalize(node)]
-        else:
-            factors = others
-    result = _Factor((), np.array(1.0))
-    for f in factors:
-        result = result.multiply(f)
-    table = result.table
-    if result.variables == (target,):
-        p0, p1 = float(table[0]), float(table[1])
-    elif result.variables == ():
-        raise ZeroProbabilityEvidence("target eliminated; inconsistent factor state")
-    else:  # pragma: no cover - defensive
-        raise RuntimeError(f"unexpected residual scope {result.variables}")
-    norm = p0 + p1
-    if norm <= 0.0:
-        raise ZeroProbabilityEvidence(f"evidence {dict(evidence)!r} has probability 0")
-    return p1 / norm
-
-
-def query(
-    bn: DiscreteBayesNet,
-    target: str,
-    evidence: Mapping[str, int] | None = None,
-    method: str | None = None,
-) -> float:
-    """Exact P(target=1 | evidence).
-
-    Dispatches to full joint enumeration for small networks and variable
-    elimination (min-fill order) above ENUMERATION_LIMIT nodes; ``method``
-    forces one backend ("enumeration" or "elimination").
+    Raises ZeroProbabilityEvidence when the evidence has probability 0.
     """
     evidence = dict(evidence or {})
     for label in (target, *evidence):
         if label not in bn.dag._index:
             raise KeyError(f"unknown node label: {label!r}")
-    if method is None:
-        method = "enumeration" if len(bn.dag.nodes) <= ENUMERATION_LIMIT else "elimination"
-    if method == "enumeration":
-        return _query_enumeration(bn, target, evidence)
-    if method == "elimination":
-        return _query_elimination(bn, target, evidence)
-    raise ValueError(f"unknown inference method {method!r}")
+    if target in evidence:
+        return float(evidence[target])
+    table = bn.marginal((*evidence, target))[tuple(int(v) for v in evidence.values())]
+    p_evidence = table[0] + table[1]
+    if p_evidence <= 0.0:
+        raise ZeroProbabilityEvidence(f"evidence {evidence!r} has probability 0")
+    return float(table[1] / p_evidence)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ._rng import spawn_seed
-from .bayesnet import Cpt, Dag, DiscreteBayesNet, d_separated, fit_cpts, query
+from .bayesnet import Cpt, Dag, DiscreteBayesNet, ZeroProbabilityEvidence, d_separated, fit_cpts, query
 from .dataset import EventMatrix
 
 __all__ = [
@@ -120,28 +119,26 @@ def mediators(g: Dag, x: str, y: str) -> frozenset[str]:
     return frozenset(on_path - {x, y})
 
 
-def _assignments(labels: tuple[str, ...]):
-    for combo in product((0, 1), repeat=len(labels)):
-        yield dict(zip(labels, combo))
-
-
 def ace(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
     """Average causal effect by exact backdoor adjustment.
 
     value = sum_z [P(y=1 | x=1, Z=z) - P(y=1 | x=0, Z=z)] P(Z=z) with Z the
-    verified backdoor set.  All terms are exact model queries; smoothed
-    tables keep every stratum well-defined.
+    verified backdoor set, read off one exact table P(x, Z, y).  A stratum
+    with P(Z=z) > 0 but P(Z=z, x=v) = 0 raises ZeroProbabilityEvidence.
     """
     z = backdoor_set(bn.dag, x, y)
     z_sorted = tuple(sorted(z, key=bn.dag._index.__getitem__))
-    value = 0.0
-    for z_assign in _assignments(z_sorted):
-        p_z = bn.prob(z_assign) if z_assign else 1.0
-        if p_z == 0.0:
-            continue
-        p1 = query(bn, y, {**z_assign, x: 1})
-        p0 = query(bn, y, {**z_assign, x: 0})
-        value += (p1 - p0) * p_z
+    t = bn.marginal((x, *z_sorted, y))
+    p_xz = t.sum(axis=-1)
+    p_z = p_xz[0] + p_xz[1]
+    live = p_z > 0.0
+    if ((p_xz <= 0.0) & live).any():
+        raise ZeroProbabilityEvidence(
+            f"a stratum of {z_sorted} with positive probability never has {x!r} = 0 or 1"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_y = t[..., 1] / p_xz  # P(y=1 | x, Z)
+    value = ((p_y[1] - p_y[0]) * p_z)[live].sum()
     value = float(min(1.0, max(-1.0, value)))
     return EffectEstimate(x, y, "ACE", value, z, frozenset())
 
@@ -167,26 +164,29 @@ def ace_surgery(bn: DiscreteBayesNet, x: str, y: str) -> float:
 def _nde_value(
     bn: DiscreteBayesNet, x: str, y: str, meds: frozenset[str], z: frozenset[str]
 ) -> float:
-    """Mediation formula with baseline x=0; reduces to the ACE when meds is empty."""
+    """Mediation formula with baseline x=0; reduces to the ACE when meds is empty.
+
+    value = sum_{z,m} [P(y=1 | x=1, m, z) - P(y=1 | x=0, m, z)] P(m | x=0, z) P(z),
+    read off one exact table P(x, Z, M, y).  Strata with P(m | x=0, z) = 0
+    are skipped; a remaining one with P(z, m, x=1) = 0 raises
+    ZeroProbabilityEvidence.
+    """
     order = bn.dag._index.__getitem__
     m_sorted = tuple(sorted(meds, key=order))
     z_sorted = tuple(sorted(z, key=order))
-    value = 0.0
-    for z_assign in _assignments(z_sorted):
-        p_z = bn.prob(z_assign) if z_assign else 1.0
-        if p_z == 0.0:
-            continue
-        for m_assign in _assignments(m_sorted):
-            p_m = bn.prob({**z_assign, x: 0, **m_assign})
-            denom = bn.prob({**z_assign, x: 0})
-            if denom == 0.0:
-                continue
-            p_m_given = p_m / denom
-            if p_m_given == 0.0:
-                continue
-            p1 = query(bn, y, {**z_assign, **m_assign, x: 1})
-            p0 = query(bn, y, {**z_assign, **m_assign, x: 0})
-            value += (p1 - p0) * p_m_given * p_z
+    t = bn.marginal((x, *z_sorted, *m_sorted, y))
+    p_xzm = t.sum(axis=-1)
+    p_xz = p_xzm.sum(axis=tuple(range(1 + len(z_sorted), p_xzm.ndim)), keepdims=True)
+    p_z = p_xz[0] + p_xz[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_m_given = p_xzm[0] / p_xz[0]  # P(M | x=0, Z)
+        p_y = t[..., 1] / p_xzm  # P(y=1 | x, Z, M)
+    live = (p_xz[0] > 0.0) & (p_m_given > 0.0)
+    if (live & (p_xzm[1] <= 0.0)).any():
+        raise ZeroProbabilityEvidence(
+            f"a stratum of {z_sorted + m_sorted} reached with {x!r} = 0 is never reached with {x!r} = 1"
+        )
+    value = ((p_y[1] - p_y[0]) * p_m_given * p_z)[live].sum()
     return float(min(1.0, max(-1.0, value)))
 
 

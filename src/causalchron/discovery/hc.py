@@ -39,17 +39,17 @@ class _SearchState:
         return sum(self.local(n, self.parents[n]) for n in self.nodes)
 
     def has_path(self, src: str, dst: str) -> bool:
-        stack = [src]
+        """Whether a directed path leads from src to dst, walking parents up from dst."""
+        stack = [dst]
         seen = set()
-        children = {n: [c for c in self.nodes if n in self.parents[c]] for n in self.nodes}
         while stack:
             n = stack.pop()
-            if n == dst:
+            if n == src:
                 return True
             if n in seen:
                 continue
             seen.add(n)
-            stack.extend(children[n])
+            stack.extend(self.parents[n])
         return False
 
     def edges(self) -> list[tuple[str, str]]:

@@ -55,6 +55,20 @@ def brute_force_conditional(bn, target, evidence):
     return p_num / p_den
 
 
+def brute_force_probability(bn, assignment):
+    """P(assignment) by the chain rule over brute-force conditionals."""
+    p = 1.0
+    evidence = {}
+    for node, value in assignment.items():
+        try:
+            p1 = brute_force_conditional(bn, node, evidence)
+        except ZeroDivisionError:
+            return 0.0
+        p *= p1 if value == 1 else 1.0 - p1
+        evidence[node] = value
+    return p
+
+
 class TestDag:
     def test_rejects_cycle(self):
         with pytest.raises(ValueError, match="cycle"):
@@ -244,10 +258,10 @@ class TestQuery:
                 continue
             assert query(bn, target, evidence) == pytest.approx(expected, abs=1e-12)
 
-    def test_elimination_handles_networks_beyond_enumeration_limit(self):
-        # 24-node chain: enumeration would need 2^24 states, elimination is
-        # linear; the oracle is the forward marginal recursion
-        d = 24
+    def test_long_chain_past_einsum_label_cap(self):
+        # 60-node chain: more variables than einsum's 52 labels and 2^60
+        # joint states; the oracle is the forward marginal recursion
+        d = 60
         labels = tuple(f"v{i}" for i in range(d))
         dag = Dag(labels, [(labels[i], labels[i + 1]) for i in range(d - 1)])
         cpts = [Cpt(labels[0], (), np.array([0.3]))]
@@ -267,16 +281,30 @@ class TestQuery:
             marginal = 0.9 * marginal + 0.2 * (1 - marginal)
         assert query(bn, labels[-1]) == pytest.approx(marginal, abs=1e-12)
 
+        pair = bn.marginal((labels[-1], labels[0]))
+        assert pair.sum() == pytest.approx(1.0, abs=1e-12)
+        assert pair[1, 1] == pytest.approx(0.3 * p, abs=1e-12)
+
     def test_joint_distribution_sums_to_one(self):
         rng = np.random.default_rng(55)
         for _ in range(10):
             bn = random_network(rng, int(rng.integers(2, 8)))
             assert bn.prob({}) == pytest.approx(1.0, abs=1e-12)
 
-    def test_enumeration_agrees_with_elimination(self):
+    def test_agrees_with_brute_force_on_deterministic_tables(self):
+        # some CPT entries pinned to 0 or 1, so evidence of probability 0
+        # occurs and must raise exactly where brute force divides by zero
         rng = np.random.default_rng(33)
-        for _ in range(20):
+        zero_evidence = 0
+        for _ in range(40):
             bn = random_network(rng, int(rng.integers(2, 12)))
+            cpts = []
+            for c in bn.cpts:
+                p1 = c.p1.copy()
+                pinned = rng.random(p1.shape) < 0.4
+                p1[pinned] = rng.integers(0, 2, size=int(pinned.sum()))
+                cpts.append(Cpt(c.node, c.parents, p1))
+            bn = DiscreteBayesNet(bn.dag, tuple(cpts))
             nodes = list(bn.dag.nodes)
             target = nodes[int(rng.integers(len(nodes)))]
             evidence = {
@@ -285,13 +313,66 @@ class TestQuery:
                 if n != target and rng.random() < 0.3
             }
             try:
-                a = query(bn, target, evidence, method="enumeration")
-            except ZeroProbabilityEvidence:
+                expected = brute_force_conditional(bn, target, evidence)
+            except ZeroDivisionError:
+                zero_evidence += 1
                 with pytest.raises(ZeroProbabilityEvidence):
-                    query(bn, target, evidence, method="elimination")
+                    query(bn, target, evidence)
                 continue
-            b = query(bn, target, evidence, method="elimination")
-            assert a == pytest.approx(b, abs=1e-10)
+            assert query(bn, target, evidence) == pytest.approx(expected, abs=1e-12)
+        assert zero_evidence > 0
+
+    def test_rejects_unknown_label(self, chain_ab):
+        with pytest.raises(KeyError):
+            query(chain_ab, "b", {"nope": 1})
+
+
+class TestMarginal:
+    def test_axes_follow_argument_order(self, chain_ab):
+        ab = chain_ab.marginal(("a", "b"))
+        ba = chain_ab.marginal(("b", "a"))
+        assert ab.shape == ba.shape == (2, 2)
+        assert ab[1, 0] == pytest.approx(0.5 * 0.1, abs=1e-15)  # a=1, b=0
+        assert ab[0, 1] == pytest.approx(0.5 * 0.2, abs=1e-15)  # a=0, b=1
+        assert np.array_equal(ba, ab.T)
+
+    def test_sums_to_one(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            bn = random_network(rng, int(rng.integers(2, 9)))
+            nodes = list(bn.dag.nodes)
+            k = int(rng.integers(1, len(nodes) + 1))
+            subset = tuple(str(n) for n in rng.choice(nodes, size=k, replace=False))
+            table = bn.marginal(subset)
+            assert table.shape == (2,) * k
+            assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert float(bn.marginal(())) == 1.0
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(71)
+        for _ in range(25):
+            bn = random_network(rng, int(rng.integers(2, 9)))
+            nodes = list(bn.dag.nodes)
+            k = int(rng.integers(1, min(4, len(nodes)) + 1))
+            subset = tuple(str(n) for n in rng.choice(nodes, size=k, replace=False))
+            table = bn.marginal(subset)
+            for values in itertools.product((0, 1), repeat=k):
+                assignment = dict(zip(subset, values))
+                expected = brute_force_probability(bn, assignment)
+                assert table[values] == pytest.approx(expected, abs=1e-12)
+                assert bn.prob(assignment) == pytest.approx(expected, abs=1e-12)
+
+    def test_rejects_repeated_and_unknown_nodes(self, chain_ab):
+        with pytest.raises(ValueError, match="distinct"):
+            chain_ab.marginal(("a", "a"))
+        with pytest.raises(KeyError):
+            chain_ab.marginal(("nope",))
+
+    def test_cpt_table_is_read_only(self, chain_ab):
+        table = chain_ab.cpt("b").table
+        assert table.shape == (2, 2)
+        assert table[1, 1] == 0.9 and table[0, 1] == 0.2
+        assert not table.flags.writeable
 
 
 class TestDSeparation:

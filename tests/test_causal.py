@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, fit_cpts, sample
+from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, ZeroProbabilityEvidence, fit_cpts, sample
 from causalchron.causal import (
     CausalQuery,
     REFUTATION_KINDS,
@@ -14,6 +14,7 @@ from causalchron.causal import (
     refute,
 )
 from causalchron.causal import _nde_value
+from causalchron.dataset import EventMatrix
 
 from conftest import random_network
 
@@ -164,6 +165,43 @@ class TestNde:
                 z = backdoor_set(bn.dag, p, c)
                 formula = _nde_value(bn, p, c, frozenset(), z)
                 assert formula == pytest.approx(ace(bn, p, c).value, abs=1e-10)
+
+
+class TestPositivity:
+    """Maximum-likelihood tables (ess=0) with a deterministic z -> x.
+
+    ace raises when a stratum of positive probability never shows one
+    treatment value; the mediation formula skips strata never reached
+    with x=0 and raises only when a reached (z, m) is never seen with x=1.
+    """
+
+    DAG = Dag(("z", "x", "m", "y"), [("z", "x"), ("z", "y"), ("x", "m"), ("m", "y"), ("x", "y")])
+
+    def fitted(self, x_of_z):
+        rng = np.random.default_rng(5)
+        n = 2000
+        z = rng.integers(0, 2, n)
+        x = x_of_z(z, rng.integers(0, 2, n))
+        m = (rng.random(n) < np.where(x == 1, 0.7, 0.3)).astype(int)
+        y = (rng.random(n) < 0.2 + 0.3 * x + 0.2 * m + 0.1 * z).astype(int)
+        values = np.column_stack([z, x, m, y]).astype(np.int8)
+        return fit_cpts(self.DAG, EventMatrix(self.DAG.nodes, values), ess=0.0)
+
+    def test_x_copies_z_raises_for_both_estimands(self):
+        bn = self.fitted(lambda z, coin: z)
+        with pytest.raises(ZeroProbabilityEvidence):
+            ace(bn, "x", "y")
+        with pytest.raises(ZeroProbabilityEvidence):
+            nde(bn, "x", "y")
+        assert ace(bn, "z", "x").value == 1.0
+
+    def test_stratum_without_x0_raises_ace_only(self):
+        # z=1 forces x=1: ace cannot condition on (z=1, x=0); the mediation
+        # formula weights by P(m | x=0, z), which that stratum never has
+        bn = self.fitted(lambda z, coin: np.maximum(z, coin))
+        with pytest.raises(ZeroProbabilityEvidence):
+            ace(bn, "x", "y")
+        assert 0.0 < nde(bn, "x", "y").value < 1.0
 
 
 class TestCausalQuery:
