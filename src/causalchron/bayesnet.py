@@ -6,6 +6,11 @@ tables, Bayesian/maximum-likelihood parameter fitting, exact inference
 log-likelihood scoring, d-separation, local Markov statements, ancestral
 sampling, and the edge-list / DOT / JSON exchange formats.
 
+Directed walks in the package go through :func:`reachable` (the nodes a
+walk reaches from a start set), and cycle repairs through
+:func:`cycle_edges` (the edges lying on a directed cycle, empty exactly
+when the edges are acyclic).
+
 Everything here is deterministic: nodes iterate in declared order, edges
 lexicographically, and sampling takes an explicit seed.
 """
@@ -16,13 +21,15 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .dataset import EventMatrix
+from .dataset import EventMatrix, assignment_index, joint_counts
 
 __all__ = [
+    "reachable",
+    "cycle_edges",
     "Dag",
     "Cpt",
     "DiscreteBayesNet",
@@ -44,6 +51,30 @@ DEFAULT_LL_FLOOR = 1e-9
 
 class ZeroProbabilityEvidence(ValueError):
     """The conditioning event has probability zero under the model."""
+
+
+T = TypeVar("T", bound=Hashable)
+
+
+def reachable(starts: Iterable[T], step: Callable[[T], Iterable[T]]) -> set[T]:
+    """Nodes reached from ``starts`` by zero or more calls of ``step``, ``starts`` included."""
+    seen: set[T] = set()
+    stack = list(starts)
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(step(n))
+    return seen
+
+
+def cycle_edges(edges: Iterable[tuple[T, T]]) -> frozenset[tuple[T, T]]:
+    """The edges (p, c) with p reachable from c; empty exactly when the edges are acyclic."""
+    edges = frozenset(edges)
+    children: dict[T, list[T]] = {}
+    for p, c in edges:
+        children.setdefault(p, []).append(c)
+    return frozenset((p, c) for p, c in edges if p in reachable([c], lambda n: children.get(n, ())))
 
 
 @dataclass(frozen=True)
@@ -101,7 +132,7 @@ class Dag:
         return tuple(n for n in self.nodes if not self._parents[n] and not self._children[n])
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        idx = {n: i for i, n in enumerate(self.nodes)}
+        idx = self._index
         return sorted(self.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
 
     def topological_order(self) -> tuple[str, ...]:
@@ -126,24 +157,10 @@ class Dag:
         return tuple(order)
 
     def descendants(self, node: str) -> frozenset[str]:
-        seen: set[str] = set()
-        stack = list(self._children[node])
-        while stack:
-            n = stack.pop()
-            if n not in seen:
-                seen.add(n)
-                stack.extend(self._children[n])
-        return frozenset(seen)
+        return frozenset(reachable(self._children[node], self._children.__getitem__))
 
     def ancestors(self, node: str) -> frozenset[str]:
-        seen: set[str] = set()
-        stack = list(self._parents[node])
-        while stack:
-            n = stack.pop()
-            if n not in seen:
-                seen.add(n)
-                stack.extend(self._parents[n])
-        return frozenset(seen)
+        return frozenset(reachable(self._parents[node], self._parents.__getitem__))
 
     def has_path(self, src: str, dst: str) -> bool:
         return dst in self.descendants(src)
@@ -264,14 +281,6 @@ class Cpt:
         table = np.stack([1.0 - p1, p1], axis=-1)
         table.flags.writeable = False
         return table
-
-
-def _assignment_index(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
-    """Bit-pack columns into stratum indices (first column = high bit)."""
-    idx = np.zeros(values.shape[0], dtype=np.int64)
-    for j in cols:
-        idx = (idx << 1) | values[:, j].astype(np.int64)
-    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,13 +455,9 @@ def _require_complete(data: EventMatrix) -> None:
 
 def _counts(data: EventMatrix, node: str, parents: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(n1, n) per parent assignment, in binary counting order."""
-    node_col = data.column_index(node)
-    parent_cols = [data.column_index(p) for p in parents]
-    k = 1 << len(parent_cols)
-    idx = _assignment_index(data.values, parent_cols)
-    n = np.bincount(idx, minlength=k).astype(np.float64)
-    n1 = np.bincount(idx, weights=(data.values[:, node_col] == 1), minlength=k)
-    return n1, n
+    cols = [data.column_index(p) for p in parents] + [data.column_index(node)]
+    counts = joint_counts(data.values, cols).reshape(-1, 2).astype(np.float64)
+    return counts[:, 1], counts.sum(axis=1)
 
 
 def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
@@ -490,7 +495,7 @@ def log_likelihood(bn: DiscreteBayesNet, data: EventMatrix, floor: float = DEFAU
     for cpt in bn.cpts:
         node_col = data.column_index(cpt.node)
         parent_cols = [data.column_index(p) for p in cpt.parents]
-        idx = _assignment_index(data.values, parent_cols)
+        idx = assignment_index(data.values, parent_cols)
         p1 = cpt.p1[idx]
         p = np.where(data.values[:, node_col] == 1, p1, 1.0 - p1)
         total += float(np.log(np.maximum(p, floor)).sum())
@@ -559,7 +564,7 @@ def sample(bn: DiscreteBayesNet, n: int, seed: int) -> EventMatrix:
     for node in bn.dag.topological_order():
         cpt = bn.cpt(node)
         if cpt.parents:
-            idx = _assignment_index(values, [col_of[p] for p in cpt.parents])
+            idx = assignment_index(values, [col_of[p] for p in cpt.parents])
             p1 = cpt.p1[idx]
         else:
             p1 = np.full(n, cpt.p1[0])

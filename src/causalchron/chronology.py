@@ -21,6 +21,7 @@ from ._rng import spawn_seed
 from .bayesnet import (
     Dag,
     bic_score,
+    cycle_edges,
     fit_cpts,
     local_markov_statements,
     log_likelihood,
@@ -274,34 +275,15 @@ def deterministic_chronology(
 
     edges = set(margins)
     warnings: list[str] = []
-    while True:
-        try:
-            dag = Dag(tuple(node_order), edges)
-            break
-        except ValueError:
-            in_cycle = sorted(e for e in edges if _edge_in_cycle(edges, e))
-            victim = min(in_cycle, key=lambda e: (margins[e], e))
-            edges.discard(victim)
-            warnings.append(
-                f"cycle repair: removed edge {victim[0]} -> {victim[1]} (margin {margins[victim]})"
-            )
+    while in_cycle := cycle_edges(edges):
+        victim = min(in_cycle, key=lambda e: (margins[e], e))
+        edges.discard(victim)
+        warnings.append(
+            f"cycle repair: removed edge {victim[0]} -> {victim[1]} (margin {margins[victim]})"
+        )
+    dag = Dag(tuple(node_order), edges)
     isolated = tuple(n for n in node_order if n not in dependent_nodes)
     return BaselineChronology(dag, groups, isolated, decisions, tuple(warnings))
-
-
-def _edge_in_cycle(edges: set[tuple[str, str]], edge: tuple[str, str]) -> bool:
-    src, dst = edge
-    stack = [dst]
-    seen = set()
-    while stack:
-        n = stack.pop()
-        if n == src:
-            return True
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(c for p, c in edges if p == n)
-    return False
 
 
 # ---------------------------------------------------------------------------

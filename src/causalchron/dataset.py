@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "UnknownTokenError",
     "load_reads",
     "save_reads",
+    "assignment_index",
+    "joint_counts",
     "contingency",
     "cooccurrence_counts",
     "missingness_profile",
@@ -239,6 +241,23 @@ def save_reads(m: EventMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def assignment_index(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Bit-pack binary columns into one index per row (first column = high bit)."""
+    idx = np.zeros(values.shape[0], dtype=np.int64)
+    for j in cols:
+        idx = (idx << 1) | values[:, j].astype(np.int64)
+    return idx
+
+
+def joint_counts(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Row counts of every assignment of the binary columns ``cols``.
+
+    Entries follow binary counting order with the first column as the
+    high bit, so the result reshapes to ``(2,) * len(cols)``.
+    """
+    return np.bincount(assignment_index(values, cols), minlength=1 << len(cols))
+
+
 def contingency(m: EventMatrix, a: str, b: str) -> ContingencyTable:
     """Joint 2x2 counts of (a, b) over rows where both are observed.
 
@@ -248,12 +267,9 @@ def contingency(m: EventMatrix, a: str, b: str) -> ContingencyTable:
     """
     if a == b:
         raise ValueError("contingency requires two distinct columns")
-    col_a = m.column(a)
-    col_b = m.column(b)
-    both = (col_a != MISSING) & (col_b != MISSING)
-    va = col_a[both].astype(np.int64)
-    vb = col_b[both].astype(np.int64)
-    counts = np.bincount(2 * va + vb, minlength=4)
+    cols = [m.column_index(a), m.column_index(b)]
+    both = (m.values[:, cols] != MISSING).all(axis=1)
+    counts = joint_counts(m.values[both], cols)
     return ContingencyTable(a, b, int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
 
 

@@ -8,8 +8,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from ..bayesnet import _assignment_index
-from ..dataset import MISSING, ContingencyTable, EventMatrix
+from ..dataset import MISSING, ContingencyTable, EventMatrix, joint_counts
 
 __all__ = ["G2Result", "ci_test_g2", "fisher_exact"]
 
@@ -59,8 +58,7 @@ def ci_test_g2(
     if values.shape[0] == 0:
         return G2Result(0.0, 0, 1.0, True)
 
-    cell = _assignment_index(values, zi + [xi, yi])  # stratum*4 + x*2 + y
-    counts = np.bincount(cell, minlength=4 << len(zi)).reshape(-1, 2, 2).astype(np.float64)
+    counts = joint_counts(values, zi + [xi, yi]).reshape(-1, 2, 2).astype(np.float64)
     totals = counts.sum(axis=(1, 2))
     keep_strata = totals >= MIN_STRATUM_ROWS
     df = int(keep_strata.sum())

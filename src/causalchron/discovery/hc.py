@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bayesnet import Dag, local_bic
+from ..bayesnet import Dag, local_bic, reachable
 from ..dataset import EventMatrix
 
 __all__ = ["hc_learn"]
@@ -25,13 +25,13 @@ class _SearchState:
         self.data = data
         self.nodes = data.columns
         self.parents: dict[str, frozenset[str]] = {n: frozenset() for n in self.nodes}
+        self._index = {n: i for i, n in enumerate(self.nodes)}
         self._cache: dict[tuple[str, frozenset[str]], float] = {}
 
     def local(self, node: str, parents: frozenset[str]) -> float:
         key = (node, parents)
         if key not in self._cache:
-            idx = {n: i for i, n in enumerate(self.nodes)}
-            ordered = tuple(sorted(parents, key=idx.__getitem__))
+            ordered = tuple(sorted(parents, key=self._index.__getitem__))
             self._cache[key] = local_bic(self.data, node, ordered)
         return self._cache[key]
 
@@ -40,17 +40,7 @@ class _SearchState:
 
     def has_path(self, src: str, dst: str) -> bool:
         """Whether a directed path leads from src to dst, walking parents up from dst."""
-        stack = [dst]
-        seen = set()
-        while stack:
-            n = stack.pop()
-            if n == src:
-                return True
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(self.parents[n])
-        return False
+        return src in reachable([dst], self.parents.__getitem__)
 
     def edges(self) -> list[tuple[str, str]]:
         return [(p, c) for c in self.nodes for p in self.parents[c]]
@@ -133,6 +123,7 @@ def _climb(state: _SearchState, max_indegree: int | None) -> list[float]:
 
 def _random_start(state: _SearchState, rng: np.random.Generator, max_indegree: int | None) -> None:
     """Seed the search with a random sparse DAG (used by restarts)."""
+    state.parents = {n: frozenset() for n in state.nodes}
     nodes = list(state.nodes)
     order = rng.permutation(len(nodes))
     cap = 2 if max_indegree is None else min(2, max_indegree)
@@ -178,6 +169,5 @@ def hc_learn(
             best_score = t[-1]
             best_parents = dict(state.parents)
             trace = t
-        state.parents = {n: frozenset() for n in state.nodes}
     dag = Dag(data.columns, [(p, c) for c in data.columns for p in best_parents[c]])
     return (dag, trace) if return_trace else dag

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from ..bayesnet import Dag
+from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
 
 __all__ = [
@@ -87,19 +87,15 @@ def threshold_to_dag(adj: WeightedAdjacency, omega: float) -> tuple[Dag, float]:
     w = adj.w.copy()
     w[np.abs(w) < omega] = 0.0
     effective = omega
-    while True:
-        edges = [
-            (adj.labels[i], adj.labels[j])
-            for i in range(w.shape[0])
-            for j in range(w.shape[1])
-            if w[i, j] != 0.0
-        ]
-        try:
-            return Dag(adj.labels, edges), effective
-        except ValueError:
-            smallest = np.abs(w[w != 0.0]).min()
-            effective = float(np.nextafter(smallest, np.inf))
-            w[np.abs(w) <= smallest] = 0.0
+
+    def edges() -> list[tuple[str, str]]:
+        return [(adj.labels[i], adj.labels[j]) for i, j in zip(*np.nonzero(w))]
+
+    while cycle_edges(edges()):
+        smallest = np.abs(w[w != 0.0]).min()
+        effective = float(np.nextafter(smallest, np.inf))
+        w[np.abs(w) <= smallest] = 0.0
+    return Dag(adj.labels, edges()), effective
 
 
 def notears_learn(

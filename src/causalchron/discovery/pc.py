@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ..bayesnet import Dag
+from ..bayesnet import Dag, reachable
 from ..dataset import EventMatrix
 from .citests import ci_test_g2
 
@@ -51,17 +51,7 @@ class _Pdag:
         return [p for p, c in self.directed if c == node]
 
     def has_directed_path(self, src: str, dst: str) -> bool:
-        stack = [src]
-        seen = set()
-        while stack:
-            n = stack.pop()
-            if n == dst:
-                return True
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(c for p, c in self.directed if p == n)
-        return False
+        return src in reachable([dst], self.parents)
 
     def creates_new_v(self, a: str, b: str) -> bool:
         """Would orienting a -> b create a collider at b with a non-adjacent co-parent?"""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._rng import spawn_seed
-from ..bayesnet import Dag
+from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
 from .notears import NotearsConvergenceError, notears_learn
 
@@ -145,13 +145,10 @@ def stability_select(
         freqs = freq_matrix[pair]
         return max((freqs[i] for i in valid), default=0.0)
 
-    kept = sorted(stable)
-    while True:
-        try:
-            dag = Dag(labels, kept)
-            break
-        except ValueError:
-            kept.remove(min(kept, key=lambda e: (peak(e), e)))
+    kept = set(stable)
+    while cycle_edges(kept):
+        kept.remove(min(kept, key=lambda e: (peak(e), e)))
+    dag = Dag(labels, kept)
     return StabilityReport(
         lambda_grid=grid,
         edge_frequencies={pair: tuple(freq_matrix[pair]) for pair in pairs},

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bayesnet import Dag, DiscreteBayesNet, _assignment_index, fit_cpts
-from .dataset import MISSING, EventMatrix
+from .bayesnet import Dag, DiscreteBayesNet, fit_cpts
+from .dataset import MISSING, EventMatrix, assignment_index
 
 __all__ = [
     "ImputationResult",
@@ -249,7 +249,7 @@ def _e_step_pass(
             continue
         cpt = bn.cpt(node)
         if cpt.parents:
-            idx = _assignment_index(values[rows], [col_of[p] for p in cpt.parents])
+            idx = assignment_index(values[rows], [col_of[p] for p in cpt.parents])
             p1 = cpt.p1[idx]
         else:
             p1 = np.full(rows.size, cpt.p1[0])

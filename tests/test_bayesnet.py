@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalchron.bayesnet import (
     Cpt,
@@ -10,6 +12,7 @@ from causalchron.bayesnet import (
     DiscreteBayesNet,
     ZeroProbabilityEvidence,
     bic_score,
+    cycle_edges,
     d_separated,
     fit_cpts,
     local_bic,
@@ -18,6 +21,7 @@ from causalchron.bayesnet import (
     network_from_json,
     network_to_json,
     query,
+    reachable,
     sample,
     topological_levels,
 )
@@ -111,6 +115,59 @@ class TestDag:
         collider = Dag(("a", "b", "c"), [("a", "b"), ("c", "b")])
         assert chain.markov_equivalent(reverse)
         assert not chain.markov_equivalent(collider)
+
+
+@st.composite
+def digraphs(draw, acyclic=False):
+    """(nodes, edges) of a random directed graph without self-loops; with
+    ``acyclic`` every edge follows a random node order."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    order = draw(st.permutations(nodes))
+    pairs = [
+        (order[i], order[j])
+        for i in range(len(order))
+        for j in range(len(order))
+        if (i < j if acyclic else i != j)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return nodes, edges
+
+
+class TestGraphWalks:
+    def test_reachable_includes_the_starts(self):
+        step = {"a": ["b"], "b": ["c"], "c": ["b"], "d": ["a"]}.__getitem__
+        assert reachable(["a"], step) == {"a", "b", "c"}
+        assert reachable([], step) == set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(acyclic=True))
+    def test_descendants_and_ancestors_match_networkx(self, graph):
+        nx = pytest.importorskip("networkx")
+        nodes, edges = graph
+        g, ref = Dag(nodes, edges), nx.DiGraph(edges)
+        ref.add_nodes_from(nodes)
+        for n in nodes:
+            assert g.descendants(n) == nx.descendants(ref, n)
+            assert g.ancestors(n) == nx.ancestors(ref, n)
+            assert all(g.has_path(n, m) == nx.has_path(ref, n, m) for m in nodes if m != n)
+        assert cycle_edges(edges) == frozenset()
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_cycle_edges_are_the_edges_inside_strong_components(self, graph):
+        nx = pytest.importorskip("networkx")
+        nodes, edges = graph
+        ref = nx.DiGraph(edges)
+        ref.add_nodes_from(nodes)
+        component = {v: i for i, scc in enumerate(nx.strongly_connected_components(ref)) for v in scc}
+        # without self-loops, an edge with both ends in one component lies
+        # in a component of more than one node
+        inside = {(p, c) for p, c in edges if component[p] == component[c]}
+        assert cycle_edges(edges) == inside
+        assert (not inside) == nx.is_directed_acyclic_graph(ref)
+        if inside:
+            with pytest.raises(ValueError, match="cycle"):
+                Dag(nodes, edges)
 
 
 class TestTopologicalLevels:

@@ -11,6 +11,7 @@ from causalchron.dataset import (
     contingency,
     cooccurrence_counts,
     exclude_events,
+    joint_counts,
     load_reads,
     missingness_profile,
     save_reads,
@@ -134,6 +135,24 @@ class TestContingency:
         t = contingency(m, "a", "c")
         both = (values[:, 0] != MISSING) & (values[:, 2] != MISSING)
         assert t.total == int(both.sum())
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), min_size=n, max_size=n),
+            st.lists(st.integers(0, 3), min_size=0, max_size=4, unique=True),
+        )
+    )
+)
+def test_joint_counts_in_binary_counting_order(case):
+    rows, cols = case
+    values = np.array(rows, dtype=np.int8)
+    counts = joint_counts(values, cols)
+    assert counts.shape == (1 << len(cols),)
+    for k, count in enumerate(counts):
+        bits = [(k >> (len(cols) - 1 - i)) & 1 for i in range(len(cols))]  # first column high
+        assert count == sum(all(row[j] == b for j, b in zip(cols, bits)) for row in rows)
 
 
 class TestCooccurrence:

@@ -8,6 +8,8 @@ from causalchron.dataset import EventMatrix
 from causalchron.discovery import get_learner, hc_learn, lingam_learn, pc_learn
 from causalchron.pipeline import preset_network
 
+from conftest import random_network
+
 CHAIN_SKELETON = {frozenset(p) for p in [("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x5")]}
 
 
@@ -57,6 +59,18 @@ class TestHillClimbing:
         restarted = hc_learn(data, seed=7, restarts=3)
         assert bic_score(restarted, data) >= bic_score(plain, data)
         assert hc_learn(data, seed=7, restarts=3) == restarted
+
+    def test_restarts_on_random_small_data(self):
+        # each restart must begin from an acyclic graph, whatever parent sets
+        # the previous climb left behind
+        from causalchron.bayesnet import bic_score
+
+        rng = np.random.default_rng(1)
+        for i in range(20):
+            bn = random_network(rng, int(rng.integers(2, 9)))
+            data = sample(bn, int(rng.integers(30, 300)), seed=i)
+            restarted = hc_learn(data, seed=i, restarts=3)
+            assert bic_score(restarted, data) >= bic_score(hc_learn(data), data)
 
     def test_requires_complete(self):
         m = EventMatrix(("a", "b"), np.array([[1, -1], [0, 1]], dtype=np.int8))

@@ -184,6 +184,30 @@ class TestStabilitySelection:
         )
         assert 0 not in report.valid_lambda_indices
 
+    def test_cycle_in_stable_union_drops_weakest_edge(self, monkeypatch):
+        # ten acyclic fits whose stable union is the 3-cycle a -> b -> c -> a,
+        # with peak frequencies a->b 0.9, c->a 0.6, b->c 0.5
+        from causalchron.bayesnet import Dag
+        from causalchron.discovery import stability
+
+        labels = ("a", "b", "c")
+        fits = [[("b", "c"), ("c", "a")]]
+        fits += [[("a", "b"), ("c", "a")]] * 5
+        fits += [[("a", "b"), ("b", "c")]] * 4
+        calls = iter(fits)
+        monkeypatch.setattr(
+            stability, "notears_learn", lambda sub, **kwargs: (None, Dag(labels, next(calls)))
+        )
+        data = EventMatrix(labels, np.zeros((20, 3), dtype=np.int8))
+        report = stability.stability_select(
+            data, lambda_grid=(0.1,), n_resamples=10, freq_threshold=0.5, seed=0
+        )
+        assert report.stable_edges == {("a", "b"), ("b", "c"), ("c", "a")}
+        assert report.edge_frequencies[("a", "b")] == (0.9,)
+        assert report.edge_frequencies[("c", "a")] == (0.6,)
+        assert report.edge_frequencies[("b", "c")] == (0.5,)
+        assert report.dag.edges == {("a", "b"), ("c", "a")}
+
     def test_deterministic_given_seed(self):
         data = sample(preset_network("chain-4"), 800, seed=8)
         kwargs = dict(lambda_grid=default_lambda_grid(1e-2, 0.5, 4), n_resamples=5, seed=3)
