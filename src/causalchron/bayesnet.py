@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .dataset import EventMatrix, assignment_index, joint_counts
+from .dataset import MISSING, EventMatrix, assignment_index, joint_counts
 
 __all__ = [
     "reachable",
@@ -448,16 +448,30 @@ def local_markov_statements(g: Dag) -> list[CiStatement]:
 # ---------------------------------------------------------------------------
 
 
-def _require_complete(data: EventMatrix) -> None:
-    if not data.is_complete:
+def _require_complete(values: np.ndarray) -> None:
+    if (values == MISSING).any():
         raise ValueError("data contains missing cells")
 
 
-def _counts(data: EventMatrix, node: str, parents: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(n1, n) per parent assignment, in binary counting order."""
-    cols = [data.column_index(p) for p in parents] + [data.column_index(node)]
-    counts = joint_counts(data.values, cols).reshape(-1, 2).astype(np.float64)
-    return counts[:, 1], counts.sum(axis=1)
+def _require_fittable(values: np.ndarray, ess: float) -> None:
+    """The checks of :func:`fit_cpts` on the matrix it would read and the prior strength."""
+    _require_complete(values)
+    if ess < 0:
+        raise ValueError("ess must be non-negative")
+
+
+def _cpt_from_counts(node: str, parents: tuple[str, ...], counts: np.ndarray, ess: float) -> Cpt:
+    """The CPT of ``node`` from the joint counts of (parents, node) in binary counting order.
+
+    P(node=1 | assignment) = (count1 + ess/2) / (count + ess); an
+    assignment with zero denominator (ess=0, never observed) gets 0.5.
+    """
+    counts = counts.reshape(-1, 2).astype(np.float64)
+    n1, n = counts[:, 1], counts.sum(axis=1)
+    denom = n + ess
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p1 = (n1 + ess / 2.0) / denom
+    return Cpt(node, parents, np.where(denom > 0, p1, 0.5))
 
 
 def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
@@ -467,20 +481,15 @@ def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
     ess=0 this is the maximum-likelihood estimate; parent assignments
     never observed then fall back to 0.5 (the limit of the prior mean).
     """
-    _require_complete(data)
-    if ess < 0:
-        raise ValueError("ess must be non-negative")
+    _require_fittable(data.values, ess)
     missing_nodes = set(g.nodes) - set(data.columns)
     if missing_nodes:
         raise KeyError(f"nodes absent from data: {sorted(missing_nodes)}")
     cpts = []
     for node in g.nodes:
-        n1, n = _counts(data, node, g.parents(node))
-        denom = n + ess
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p1 = (n1 + ess / 2.0) / denom
-        p1 = np.where(denom > 0, p1, 0.5)
-        cpts.append(Cpt(node, g.parents(node), p1))
+        parents = g.parents(node)
+        cols = [data.column_index(p) for p in parents] + [data.column_index(node)]
+        cpts.append(_cpt_from_counts(node, parents, joint_counts(data.values, cols), ess))
     return DiscreteBayesNet(g, tuple(cpts))
 
 
@@ -490,7 +499,7 @@ def log_likelihood(bn: DiscreteBayesNet, data: EventMatrix, floor: float = DEFAU
     Exact zeros are replaced by ``floor`` so the result is finite even for
     maximum-likelihood tables with empty cells.
     """
-    _require_complete(data)
+    _require_complete(data.values)
     total = 0.0
     for cpt in bn.cpts:
         node_col = data.column_index(cpt.node)
@@ -503,8 +512,14 @@ def log_likelihood(bn: DiscreteBayesNet, data: EventMatrix, floor: float = DEFAU
 
 
 def local_bic(data: EventMatrix, node: str, parents: Sequence[str]) -> float:
-    """Node-wise BIC term: ML log-likelihood minus (2^|parents| / 2) ln N."""
-    n1, n = _counts(data, node, parents)
+    """Node-wise BIC term: ML log-likelihood minus (2^|parents| / 2) ln N.
+
+    Only the columns of ``node`` and ``parents`` are read, and they must be complete.
+    """
+    values = data.values[:, [data.column_index(p) for p in parents] + [data.column_index(node)]]
+    _require_complete(values)
+    counts = joint_counts(values, range(values.shape[1])).reshape(-1, 2).astype(np.float64)
+    n1, n = counts[:, 1], counts.sum(axis=1)
     n0 = n - n1
     ll = 0.0
     pos = n > 0
@@ -521,7 +536,7 @@ def bic_score(g: Dag, data: EventMatrix) -> float:
     The free-parameter count is 2^|parents| per binary node, so scores are
     typically negative, matching the usual bar-chart convention.
     """
-    _require_complete(data)
+    _require_complete(data.values)
     return sum(local_bic(data, node, g.parents(node)) for node in g.nodes)
 
 

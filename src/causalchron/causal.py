@@ -12,12 +12,23 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ._rng import spawn_seed
-from .bayesnet import Cpt, Dag, DiscreteBayesNet, ZeroProbabilityEvidence, d_separated, fit_cpts, query
-from .dataset import EventMatrix
+from .bayesnet import (
+    Cpt,
+    Dag,
+    DiscreteBayesNet,
+    ZeroProbabilityEvidence,
+    _cpt_from_counts,
+    _require_fittable,
+    d_separated,
+    fit_cpts,
+    query,
+)
+from .dataset import EventMatrix, assignment_index
 
 __all__ = [
     "CausalQuery",
@@ -120,13 +131,18 @@ def mediators(g: Dag, x: str, y: str) -> frozenset[str]:
 
 
 def ace(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
-    """Average causal effect by exact backdoor adjustment.
-
-    value = sum_z [P(y=1 | x=1, Z=z) - P(y=1 | x=0, Z=z)] P(Z=z) with Z the
-    verified backdoor set, read off one exact table P(x, Z, y).  A stratum
-    with P(Z=z) > 0 but P(Z=z, x=v) = 0 raises ZeroProbabilityEvidence.
-    """
+    """Average causal effect by exact backdoor adjustment on the verified backdoor set."""
     z = backdoor_set(bn.dag, x, y)
+    return EffectEstimate(x, y, "ACE", _ace_value(bn, x, y, z), z, frozenset())
+
+
+def _ace_value(bn: DiscreteBayesNet, x: str, y: str, z: frozenset[str]) -> float:
+    """Backdoor adjustment over the set z.
+
+    value = sum_z [P(y=1 | x=1, Z=z) - P(y=1 | x=0, Z=z)] P(Z=z), read off
+    one exact table P(x, Z, y).  A stratum with P(Z=z) > 0 but
+    P(Z=z, x=v) = 0 raises ZeroProbabilityEvidence.
+    """
     z_sorted = tuple(sorted(z, key=bn.dag._index.__getitem__))
     t = bn.marginal((x, *z_sorted, y))
     p_xz = t.sum(axis=-1)
@@ -139,8 +155,7 @@ def ace(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
     with np.errstate(divide="ignore", invalid="ignore"):
         p_y = t[..., 1] / p_xz  # P(y=1 | x, Z)
     value = ((p_y[1] - p_y[0]) * p_z)[live].sum()
-    value = float(min(1.0, max(-1.0, value)))
-    return EffectEstimate(x, y, "ACE", value, z, frozenset())
+    return float(min(1.0, max(-1.0, value)))
 
 
 def ace_surgery(bn: DiscreteBayesNet, x: str, y: str) -> float:
@@ -324,6 +339,26 @@ class CausalRelationTable:
         return cls(dag, rows)
 
 
+def _refit_plan(
+    dag: Dag, x: str, y: str, estimand_kind: str
+) -> tuple[Dag, Callable[[DiscreteBayesNet], float]]:
+    """The sub-DAG a refit needs and the estimate read off a network fitted on it.
+
+    The backdoor set and the mediators are worked out once on ``dag``.
+    The sub-DAG is the ancestral closure of {x, y}, which holds both, with
+    the nodes in ``dag``'s order: every other node is barren in the
+    estimand's marginal, so a network fitted on the sub-DAG gives the
+    estimate of one fitted on ``dag``, bit for bit.
+    """
+    z = backdoor_set(dag, x, y)
+    meds = mediators(dag, x, y) if estimand_kind == "NDE" else frozenset()
+    keep = {x, y} | dag.ancestors(x) | dag.ancestors(y)
+    sub = Dag([n for n in dag.nodes if n in keep], [(p, c) for p, c in dag.edges if c in keep])
+    if meds:
+        return sub, lambda refit: _nde_value(refit, x, y, meds, z)
+    return sub, lambda refit: _ace_value(refit, x, y, z)
+
+
 def refute(
     bn: DiscreteBayesNet,
     data: EventMatrix,
@@ -339,31 +374,40 @@ def refute(
     mean re-estimate over random 80% row subsets must track the original.
     random_common_cause: an unrelated coin column added as a parent of both
     treatment and outcome must leave the estimate unchanged.
+
+    A refit fits only the CPTs the estimand reads, those of the ancestral
+    closure of the treatment and the outcome, and the subset draws count
+    each of them from (parents, node) indices packed once over the full
+    data.  The result is the same as refitting the whole network.
     """
     x, y = estimate.treatment, estimate.outcome
     rng = np.random.default_rng(spawn_seed(seed, "refute", kind, x, y))
 
-    def reestimate(dag: Dag, mat: EventMatrix) -> float:
-        refit = fit_cpts(dag, mat, ess=ess)
-        meds = mediators(dag, x, y)
-        if estimate.estimand_kind == "NDE" and meds:
-            return _nde_value(refit, x, y, meds, backdoor_set(dag, x, y))
-        return ace(refit, x, y).value
-
     if kind == "placebo":
+        sub, estimate_on = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
         values = data.values.copy()
         xi = data.column_index(x)
         marginal = float((values[:, xi] == 1).mean())
         values[:, xi] = (rng.random(data.n_rows) < marginal).astype(np.int8)
-        refuted = reestimate(bn.dag, data.replace_values(values))
+        refuted = estimate_on(fit_cpts(sub, data.replace_values(values), ess=ess))
         return RefutationResult(kind, refuted, abs(refuted) <= ABS_TOLERANCE, ABS_TOLERANCE)
 
     if kind == "subset":
+        sub, estimate_on = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
+        _require_fittable(data.values, ess)
+        packed = []
+        for n in sub.nodes:
+            cols = [data.column_index(v) for v in (*sub.parents(n), n)]
+            packed.append((n, sub.parents(n), assignment_index(data.values, cols)))
         size = int(np.ceil(SUBSET_FRACTION * data.n_rows))
         draws = []
         for _ in range(SUBSET_DRAWS):
-            rows = np.sort(rng.choice(data.n_rows, size=size, replace=False))
-            draws.append(reestimate(bn.dag, data.replace_values(data.values[rows])))
+            rows = rng.choice(data.n_rows, size=size, replace=False)
+            cpts = tuple(
+                _cpt_from_counts(n, ps, np.bincount(idx[rows], minlength=2 << len(ps)), ess)
+                for n, ps, idx in packed
+            )
+            draws.append(estimate_on(DiscreteBayesNet(sub, cpts)))
         mean = float(np.mean(draws))
         tol = SUBSET_REL_TOLERANCE * abs(estimate.value) + SUBSET_ABS_TOLERANCE
         return RefutationResult(kind, mean, abs(mean - estimate.value) <= tol, tol)
@@ -377,7 +421,8 @@ def refute(
             provenance=data.provenance,
         )
         dag = Dag(extended.columns, set(bn.dag.edges) | {(label, x), (label, y)})
-        refuted = reestimate(dag, extended)
+        sub, estimate_on = _refit_plan(dag, x, y, estimate.estimand_kind)
+        refuted = estimate_on(fit_cpts(sub, extended, ess=ess))
         return RefutationResult(
             kind, refuted, abs(refuted - estimate.value) <= ABS_TOLERANCE, ABS_TOLERANCE
         )

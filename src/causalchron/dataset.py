@@ -99,7 +99,7 @@ class EventMatrix:
             raise ValueError("column labels must be non-empty")
         if len(set(self.columns)) != n_cols:
             raise ValueError("duplicate column label")
-        if not np.isin(values, (0, 1, MISSING)).all():
+        if not ((values >= MISSING) & (values <= 1)).all():
             raise ValueError("cells must be 0, 1 or missing")
         values = values.copy()
         values.flags.writeable = False

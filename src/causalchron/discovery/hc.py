@@ -42,9 +42,6 @@ class _SearchState:
         """Whether a directed path leads from src to dst, walking parents up from dst."""
         return src in reachable([dst], self.parents.__getitem__)
 
-    def edges(self) -> list[tuple[str, str]]:
-        return [(p, c) for c in self.nodes for p in self.parents[c]]
-
 
 def _best_move(
     state: _SearchState, max_indegree: int | None

@@ -279,6 +279,14 @@ class TestBic:
             local_delta = local_bic(data, c, removed.parents(c)) - local_bic(data, c, g.parents(c))
             assert full_delta == pytest.approx(local_delta, abs=1e-10)
 
+    def test_local_bic_rejects_missing_cells_in_the_columns_it_reads(self):
+        data = matrix(["a", "b", "c"], [[0, 1, 1], [1, -1, 0], [1, 0, -1]])
+        for node, parents in (("b", ()), ("c", ("a",)), ("a", ("b",))):
+            with pytest.raises(ValueError, match="data contains missing cells"):
+                local_bic(data, node, parents)
+        complete = matrix(["a", "b"], [[0, 1], [1, 1], [1, 0]])
+        assert local_bic(data, "a", ()) == local_bic(complete, "a", ())
+
 
 class TestQuery:
     def test_chain_marginal(self, chain_ab):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causalchron._rng import spawn_seed
 from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, ZeroProbabilityEvidence, fit_cpts, sample
 from causalchron.causal import (
+    ABS_TOLERANCE,
+    SUBSET_ABS_TOLERANCE,
+    SUBSET_DRAWS,
+    SUBSET_FRACTION,
+    SUBSET_REL_TOLERANCE,
     CausalQuery,
     REFUTATION_KINDS,
     ace,
@@ -177,15 +185,18 @@ class TestPositivity:
 
     DAG = Dag(("z", "x", "m", "y"), [("z", "x"), ("z", "y"), ("x", "m"), ("m", "y"), ("x", "y")])
 
-    def fitted(self, x_of_z):
+    @classmethod
+    def data(cls, x_of_z):
         rng = np.random.default_rng(5)
         n = 2000
         z = rng.integers(0, 2, n)
         x = x_of_z(z, rng.integers(0, 2, n))
         m = (rng.random(n) < np.where(x == 1, 0.7, 0.3)).astype(int)
         y = (rng.random(n) < 0.2 + 0.3 * x + 0.2 * m + 0.1 * z).astype(int)
-        values = np.column_stack([z, x, m, y]).astype(np.int8)
-        return fit_cpts(self.DAG, EventMatrix(self.DAG.nodes, values), ess=0.0)
+        return EventMatrix(cls.DAG.nodes, np.column_stack([z, x, m, y]).astype(np.int8))
+
+    def fitted(self, x_of_z):
+        return fit_cpts(self.DAG, self.data(x_of_z), ess=0.0)
 
     def test_x_copies_z_raises_for_both_estimands(self):
         bn = self.fitted(lambda z, coin: z)
@@ -265,7 +276,91 @@ class TestEffectsForDag:
         assert back.rows == table.rows
 
 
+def reference_refute(bn, data, estimate, kind, seed, ess):
+    """(refuted value, passed, tolerance) from refits of every CPT of the whole
+    network on a perturbed matrix, drawing the same random stream as refute()."""
+    x, y = estimate.treatment, estimate.outcome
+    rng = np.random.default_rng(spawn_seed(seed, "refute", kind, x, y))
+
+    def reestimate(dag, mat):
+        refit = fit_cpts(dag, mat, ess=ess)
+        return (nde if estimate.estimand_kind == "NDE" else ace)(refit, x, y).value
+
+    if kind == "placebo":
+        values = data.values.copy()
+        xi = data.column_index(x)
+        marginal = float((values[:, xi] == 1).mean())
+        values[:, xi] = (rng.random(data.n_rows) < marginal).astype(np.int8)
+        refuted = reestimate(bn.dag, data.replace_values(values))
+        return refuted, abs(refuted) <= ABS_TOLERANCE, ABS_TOLERANCE
+    if kind == "subset":
+        size = int(np.ceil(SUBSET_FRACTION * data.n_rows))
+        draws = []
+        for _ in range(SUBSET_DRAWS):
+            rows = np.sort(rng.choice(data.n_rows, size=size, replace=False))
+            draws.append(reestimate(bn.dag, data.replace_values(data.values[rows])))
+        mean = float(np.mean(draws))
+        tol = SUBSET_REL_TOLERANCE * abs(estimate.value) + SUBSET_ABS_TOLERANCE
+        return mean, abs(mean - estimate.value) <= tol, tol
+    label = "__random_common_cause__"
+    coin = (rng.random(data.n_rows) < 0.5).astype(np.int8)
+    extended = EventMatrix(data.columns + (label,), np.column_stack([data.values, coin]))
+    dag = Dag(extended.columns, set(bn.dag.edges) | {(label, x), (label, y)})
+    refuted = reestimate(dag, extended)
+    return refuted, abs(refuted - estimate.value) <= ABS_TOLERANCE, ABS_TOLERANCE
+
+
+def outcome_or_raise(f):
+    try:
+        return f()
+    except ZeroProbabilityEvidence:
+        return "ZeroProbabilityEvidence"
+
+
+def assert_refutes_like_reference(bn, data, estimate, seed, ess):
+    for kind in REFUTATION_KINDS:
+        got = outcome_or_raise(lambda: refute(bn, data, estimate, kind, seed=seed, ess=ess))
+        if not isinstance(got, str):
+            assert got.kind == kind
+            got = (got.refuted_value, got.passed, got.tolerance)
+        assert got == outcome_or_raise(lambda: reference_refute(bn, data, estimate, kind, seed, ess))
+
+
 class TestRefutations:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(5, 150),
+        st.sampled_from([0.0, 1.0]),
+    )
+    def test_matches_whole_network_refits(self, net_seed, d, n, ess):
+        # refits read only the ancestral CPTs of the estimand and count the
+        # subset draws from packed indices; the results must not change a bit
+        rng = np.random.default_rng(net_seed)
+        truth = random_network(rng, d)
+        data = sample(truth, n, seed=net_seed)
+        bn = fit_cpts(truth.dag, data, ess=ess)
+        for x, y in bn.dag.sorted_edges():
+            estimate = outcome_or_raise(
+                lambda: nde(bn, x, y) if mediators(bn.dag, x, y) else ace(bn, x, y)
+            )
+            if not isinstance(estimate, str):
+                assert_refutes_like_reference(bn, data, estimate, net_seed % 97, ess)
+
+    def test_positivity_failure_raises_like_whole_network_refits(self):
+        # x copies z: every refit of the (x, y) estimand that keeps the data's
+        # x raises at ess=0, the placebo refit (x redrawn) does not
+        data = TestPositivity.data(lambda z, coin: z)
+        estimate = nde(fit_cpts(TestPositivity.DAG, data, ess=1.0), "x", "y")
+        bn = fit_cpts(TestPositivity.DAG, data, ess=0.0)
+        with pytest.raises(ZeroProbabilityEvidence):
+            refute(bn, data, estimate, "subset", seed=3, ess=0.0)
+        with pytest.raises(ZeroProbabilityEvidence):
+            refute(bn, data, estimate, "random_common_cause", seed=3, ess=0.0)
+        refute(bn, data, estimate, "placebo", seed=3, ess=0.0)
+        assert_refutes_like_reference(bn, data, estimate, 3, 0.0)
+
     def test_placebo_on_genuine_effect_passes(self, chain_ab):
         data = sample(chain_ab, 5000, seed=6)
         bn = fit_cpts(chain_ab.dag, data)

@@ -39,6 +39,13 @@ class TestG2:
         assert res.df == df
         assert res.p_value == pytest.approx(p, rel=1e-9)
 
+    def test_p_value_is_the_chi2_survival_function_exactly(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            m = matrix(["x", "y", "z"], rng.integers(0, 2, size=(int(rng.integers(20, 300)), 3)))
+            res = ci_test_g2(m, "x", "y", ["z"])
+            assert res.p_value == float(scipy.stats.chi2.sf(res.statistic, res.df))
+
     def test_conditional_null_calibration(self):
         # fork z -> x, z -> y: x and y are independent given z, so the
         # conditional p-values should be roughly uniform

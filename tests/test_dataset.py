@@ -91,6 +91,8 @@ class TestEventMatrix:
             EventMatrix(("a", "a"), np.zeros((1, 2), dtype=np.int8))
         with pytest.raises(ValueError, match="0, 1 or missing"):
             EventMatrix(("a",), np.array([[3]], dtype=np.int8))
+        with pytest.raises(ValueError, match="0, 1 or missing"):
+            EventMatrix(("a", "b"), np.array([[0, -2]], dtype=np.int8))
 
     def test_immutable(self):
         m = EventMatrix(("a",), np.array([[1]], dtype=np.int8))
