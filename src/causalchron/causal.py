@@ -43,9 +43,12 @@ __all__ = [
     "effects_for_dag",
     "refute",
     "REFUTATION_KINDS",
+    "REFUTATION_MODES",
 ]
 
 REFUTATION_KINDS = ("placebo", "subset", "random_common_cause")
+#: ``effects_for_dag`` runs every refutation kind per edge, or none
+REFUTATION_MODES = ("all", "none")
 
 #: |refuted value| (placebo) or |refuted - value| (common cause) must stay within this
 ABS_TOLERANCE = 0.05
@@ -443,8 +446,8 @@ def effects_for_dag(
     average effect; rows with a strictly positive value are marked
     validated.  Rows sort by descending value (ties by edge order).
     """
-    if refutations not in ("all", "none"):
-        raise ValueError("refutations must be 'all' or 'none'")
+    if refutations not in REFUTATION_MODES:
+        raise ValueError(f"refutations must be one of {REFUTATION_MODES}")
     rows = []
     for x, y in bn.dag.sorted_edges():
         estimate = _estimate_edge(bn, x, y)

@@ -363,6 +363,8 @@ def falsify(
     is falsified when the permutation p-value reaches ``alpha_f`` or every
     implied statement is rejected outright.
     """
+    if n_perm < 0:
+        raise ValueError("n_perm must be non-negative")
     statements = local_markov_statements(g)
     cache: dict[tuple[frozenset[str], frozenset[str]], bool] = {}
 

@@ -9,12 +9,13 @@ inconsistent inputs), 2 a failure inside a pipeline stage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .bayesnet import fit_cpts, read_dag, write_dag
-from .causal import CausalRelationTable, effects_for_dag
+from .causal import REFUTATION_MODES, CausalRelationTable, effects_for_dag
 from .chronology import (
     build_chronology,
     compare_models,
@@ -25,7 +26,7 @@ from .chronology import (
 )
 from .dataset import load_reads, missingness_profile, save_reads
 from .discovery import LEARNER_NAMES, default_lambda_grid, get_learner, stability_select
-from .imputation import em_impute
+from .imputation import INITIAL_FILLS, em_impute
 from .pipeline import PipelineConfig, ScenarioSpec, StageFailure, run_pipeline, simulate
 
 __all__ = ["main", "build_parser"]
@@ -38,76 +39,85 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="sample a synthetic scenario with block missingness")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # an option left out is absent from the namespace, so the library default applies
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = command("simulate", "sample a synthetic scenario with block missingness")
     p.add_argument("--preset", required=True, help="chain[-d], fork, collider, diamond, random-d-p, ndhb-like, ndhd-like")
-    p.add_argument("--n", type=int, default=None, help="number of rows (preset default otherwise)")
-    p.add_argument("--rate", type=float, default=0.0, help="per-row block missingness rate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", dest="n_rows", type=int, help="number of rows (preset default otherwise)")
+    p.add_argument("--rate", dest="missing_rate", type=float, help="per-row block missingness rate")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory (data.csv + truth.json)")
 
-    p = sub.add_parser("impute", help="EM imputation with a structure learner")
+    p = command("impute", "EM imputation with a structure learner")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=["mode", "round_robin"], default="mode")
+    p.add_argument("--method", dest="initial_method", choices=list(INITIAL_FILLS))
     p.add_argument("--learner", choices=list(LEARNER_NAMES), default="hc")
-    p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--max-iter", type=int, default=10)
-    p.add_argument("--ess", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--ess", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("discover", help="learn a DAG from complete data")
+    p = command("discover", "learn a DAG from complete data")
     p.add_argument("--data", required=True)
     p.add_argument("--algo", choices=list(LEARNER_NAMES), required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--lambda", dest="lambda1", type=float, default=0.1)
-    p.add_argument("--lambda-grid", default=None, help="a:b:k for k log-spaced points in [a, b]")
-    p.add_argument("--omega", type=float, default=0.3)
-    p.add_argument("--resamples", type=int, default=50)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--lambda", dest="lambda1", type=float)
+    p.add_argument("--lambda-grid", dest="lambda_grid", help="a:b:k for k log-spaced points in [a, b]")
+    p.add_argument("--omega", type=float)
+    p.add_argument("--resamples", dest="n_resamples", type=int)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("effects", help="estimate per-edge causal effects")
+    p = command("effects", "estimate per-edge causal effects")
     p.add_argument("--dag", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--refute", choices=["all", "none"], default="all")
-    p.add_argument("--ess", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--refute", dest="refutations", choices=list(REFUTATION_MODES))
+    p.add_argument("--ess", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("chronology", help="build the timeline tree from a relation table")
+    p = command("chronology", "build the timeline tree from a relation table")
     p.add_argument("--relations", required=True, help="effects JSON file")
     p.add_argument("--dag", required=True)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("baseline", help="deterministic frequency-based chronology")
+    p = command("baseline", "deterministic frequency-based chronology")
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--correction", choices=["bh", "bonferroni"], default="bh")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--correction", choices=["bh", "bonferroni"])
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("compare", help="score models on the data (BIC, log-likelihood)")
+    p = command("compare", "score models on the data (BIC, log-likelihood)")
     p.add_argument("--data", required=True)
     p.add_argument("--model", action="append", required=True, metavar="NAME=DAGFILE")
-    p.add_argument("--ess", type=float, default=1.0)
+    p.add_argument("--ess", type=float)
     p.add_argument("--out", default=None, help="write scores.csv here (stdout otherwise)")
 
-    p = sub.add_parser("falsify", help="permutation falsification of a DAG against data")
+    p = command("falsify", "permutation falsification of a DAG against data")
     p.add_argument("--dag", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--perms", type=int, default=20)
-    p.add_argument("--alpha-ci", type=float, default=0.05)
-    p.add_argument("--alpha-f", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--perms", dest="n_perm", type=int)
+    p.add_argument("--alpha-ci", type=float)
+    p.add_argument("--alpha-f", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None, help="write verdict JSON here (stdout otherwise)")
 
-    p = sub.add_parser("pipeline", help="run every stage end to end")
+    p = command("pipeline", "run every stage end to end")
     p.add_argument("--config", required=True, help="pipeline config JSON")
-    p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--jobs", type=int, default=None, help="worker cap for parallel stages")
+    p.add_argument("--out", dest="output_dir", help="override the output directory")
+    p.add_argument("--seed", type=int, help="override the master seed")
+    p.add_argument("--jobs", type=int, help="worker cap for parallel stages")
 
     return parser
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` that the command line set."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, ...]:
@@ -119,7 +129,7 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec(preset=args.preset, n_rows=args.n, missing_rate=args.rate, seed=args.seed)
+    spec = ScenarioSpec(args.preset, **_given(args, "n_rows", "missing_rate", "seed"))
     matrix, truth = simulate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,16 +141,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_impute(args: argparse.Namespace) -> int:
     matrix = load_reads(args.data)
-    learner = get_learner(args.learner)
-    result = em_impute(
-        matrix,
-        learner,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        ess=args.ess,
-        seed=args.seed,
-        initial_method=args.method,
-    )
+    tuning = _given(args, "initial_method", "tol", "max_iter", "ess", "seed")
+    result = em_impute(matrix, get_learner(args.learner), **tuning)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_reads(result.completed, out / "data.imputed.csv")
@@ -151,31 +153,21 @@ def _cmd_impute(args: argparse.Namespace) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
+    params = _given(args, "alpha", "lambda1", "lambda_grid", "omega", "n_resamples", "standardize")
+    if "lambda_grid" in params:
+        params["lambda_grid"] = _parse_lambda_grid(params["lambda_grid"])
+    learner = get_learner(args.algo, **params)  # rejects a flag the chosen learner does not take
     matrix = load_reads(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.algo == "notears-stability":
-        grid = _parse_lambda_grid(args.lambda_grid) if args.lambda_grid else None
-        report = stability_select(
-            matrix,
-            lambda_grid=grid,
-            n_resamples=args.resamples,
-            omega=args.omega,
-            standardize=args.standardize,
-            seed=args.seed,
-        )
+        report = stability_select(matrix, seed=args.seed, **params)
         dag = report.dag
         (out / "stability.json").write_text(
             json.dumps(report.to_json_doc(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     else:
-        params: dict[str, object] = {
-            "alpha": args.alpha,
-            "lambda1": args.lambda1,
-            "omega": args.omega,
-            "standardize": args.standardize,
-        }
-        dag = get_learner(args.algo, **params)(matrix, args.seed)
+        dag = learner(matrix, args.seed)
     write_dag(dag, out / f"dag.{args.algo}.edges")
     (out / f"dag.{args.algo}.dot").write_text(dag.to_dot(name=args.algo), encoding="utf-8")
     print(f"{args.algo}: {len(dag.edges)} edge(s)")
@@ -185,8 +177,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 def _cmd_effects(args: argparse.Namespace) -> int:
     matrix = load_reads(args.data)
     dag = read_dag(args.dag)
-    bn = fit_cpts(dag, matrix, ess=args.ess)
-    table = effects_for_dag(bn, matrix, refutations=args.refute, seed=args.seed, ess=args.ess)
+    bn = fit_cpts(dag, matrix, **_given(args, "ess"))
+    table = effects_for_dag(bn, matrix, **_given(args, "refutations", "seed", "ess"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "effects.csv").write_text(table.to_csv(), encoding="utf-8")
@@ -210,7 +202,7 @@ def _cmd_chronology(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     matrix = load_reads(args.data)
-    baseline = deterministic_chronology(matrix, alpha=args.alpha, correction=args.correction)
+    baseline = deterministic_chronology(matrix, **_given(args, "alpha", "correction"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "baseline.json").write_text(baseline.to_json(), encoding="utf-8")
@@ -230,7 +222,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if not name or not path:
             raise ValueError(f"bad --model {item!r}; expected NAME=DAGFILE")
         models.append((name, read_dag(path)))
-    scores = compare_models(models, matrix, ess=args.ess)
+    scores = compare_models(models, matrix, **_given(args, "ess"))
     text = scores_to_csv(scores)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -243,14 +235,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_falsify(args: argparse.Namespace) -> int:
     matrix = load_reads(args.data)
     dag = read_dag(args.dag)
-    verdict = falsify(
-        dag,
-        matrix,
-        n_perm=args.perms,
-        alpha_ci=args.alpha_ci,
-        alpha_f=args.alpha_f,
-        seed=args.seed,
-    )
+    verdict = falsify(dag, matrix, **_given(args, "n_perm", "alpha_ci", "alpha_f", "seed"))
     text = verdict.to_json()
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -261,14 +246,9 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    overrides = _given(args, "output_dir", "seed", "jobs")
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.out is not None:
-        doc["output_dir"] = args.out
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.jobs is not None:
-        doc["jobs"] = args.jobs
-    cfg = PipelineConfig.from_doc(doc)
+    cfg = dataclasses.replace(PipelineConfig.from_doc(doc), **overrides)
     report = run_pipeline(cfg)
     print(f"pipeline complete: {len(report['models'])} model(s) in {cfg.output_dir}")
     return 0

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from operator import attrgetter, itemgetter
+from typing import Callable, get_type_hints
 
+from .._coerce import coerce
 from ..bayesnet import Dag
 from ..dataset import EventMatrix
 from .citests import G2Result, ci_test_g2, fisher_exact
@@ -39,64 +41,43 @@ __all__ = [
     "LEARNER_NAMES",
 ]
 
-LEARNER_NAMES = ("hc", "pc", "lingam", "notears", "notears-stability")
+
+#: name -> (learner function, the keyword parameters a config may set, how to read
+#: the Dag off its result); each function's signature is the only home of its defaults
+_LEARNERS = {
+    "hc": (hc_learn, ("max_indegree", "restarts"), lambda dag: dag),
+    "pc": (pc_learn, ("alpha",), attrgetter("dag")),
+    "lingam": (lingam_learn, ("threshold",), lambda dag: dag),
+    "notears": (notears_learn, ("lambda1", "omega", "standardize"), itemgetter(1)),
+    "notears-stability": (
+        stability_select,
+        ("lambda_grid", "n_resamples", "subsample_frac", "freq_threshold", "window", "omega", "standardize", "n_jobs"),
+        attrgetter("dag"),
+    ),
+}
+LEARNER_NAMES = tuple(_LEARNERS)
 
 
 def get_learner(name: str, **params: object) -> Callable[[EventMatrix, int], Dag]:
     """Uniform (data, seed) -> Dag handle for any named algorithm.
 
-    Hyperparameters are bound at lookup time; seeds only matter for the
-    algorithms that resample or restart.
+    Hyperparameters are bound at lookup time, each cast to the type the
+    learner function declares for it; unset ones keep that function's
+    defaults.  An unknown learner or parameter raises ValueError.  Seeds only
+    reach the algorithms that resample or restart.
     """
-    if name == "hc":
-
-        def run(data: EventMatrix, seed: int) -> Dag:
-            return hc_learn(
-                data,
-                max_indegree=params.get("max_indegree"),
-                seed=seed,
-                restarts=int(params.get("restarts", 0)),
-            )
-
-    elif name == "pc":
-
-        def run(data: EventMatrix, seed: int) -> Dag:
-            return pc_learn(data, alpha=float(params.get("alpha", 0.05))).dag
-
-    elif name == "lingam":
-
-        def run(data: EventMatrix, seed: int) -> Dag:
-            return lingam_learn(data, threshold=float(params.get("threshold", 0.1)))
-
-    elif name == "notears":
-
-        def run(data: EventMatrix, seed: int) -> Dag:
-            _, dag = notears_learn(
-                data,
-                lambda1=float(params.get("lambda1", 0.1)),
-                omega=float(params.get("omega", 0.3)),
-                standardize=bool(params.get("standardize", False)),
-            )
-            return dag
-
-    elif name == "notears-stability":
-
-        def run(data: EventMatrix, seed: int) -> Dag:
-            report = stability_select(
-                data,
-                lambda_grid=params.get("lambda_grid"),
-                n_resamples=int(params.get("n_resamples", 50)),
-                subsample_frac=float(params.get("subsample_frac", 0.8)),
-                freq_threshold=float(params.get("freq_threshold", 0.6)),
-                window=int(params.get("window", 3)),
-                omega=float(params.get("omega", 0.3)),
-                standardize=bool(params.get("standardize", False)),
-                n_jobs=int(params.get("n_jobs", 1)),
-                seed=seed,
-            )
-            return report.dag
-
-    else:
+    if name not in _LEARNERS:
         raise ValueError(f"unknown learner {name!r}; expected one of {LEARNER_NAMES}")
-    run.__name__ = f"learner_{name.replace('-', '_')}"
+    fn, keys, to_dag = _LEARNERS[name]
+    hints = get_type_hints(fn)
+    bound = {}
+    for key, value in params.items():
+        if key not in keys:
+            raise ValueError(f"learner {name!r} takes no parameter {key!r}; it takes {', '.join(keys)}")
+        bound[key] = coerce(hints[key], value, f"learner {name!r} parameter {key!r}")
+    seeded = "seed" in hints
+
+    def run(data: EventMatrix, seed: int) -> Dag:
+        return to_dag(fn(data, **bound, **({"seed": seed} if seeded else {})))
+
     return run

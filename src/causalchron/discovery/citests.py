@@ -64,14 +64,14 @@ def ci_test_g2(
     df = int(keep_strata.sum())
     if df == 0:
         return G2Result(0.0, 0, 1.0, True)
-    g2 = 0.0
-    for table, n in zip(counts[keep_strata], totals[keep_strata]):
-        rows = table.sum(axis=1, keepdims=True)
-        cols = table.sum(axis=0, keepdims=True)
-        expected = rows * cols / n
-        pos = table > 0
-        g2 += 2.0 * float((table[pos] * np.log(table[pos] / expected[pos])).sum())
-    g2 = max(g2, 0.0)
+    tables = counts[keep_strata]
+    rows = tables.sum(axis=2, keepdims=True)
+    cols = tables.sum(axis=1, keepdims=True)
+    expected = rows * cols / totals[keep_strata, None, None]
+    # zero cells contribute 0; each stratum's four cells, then the strata, add left to right
+    terms = np.log(np.divide(tables, expected, out=np.ones_like(tables), where=tables > 0)) * tables
+    per_stratum = 2.0 * (((terms[:, 0, 0] + terms[:, 0, 1]) + terms[:, 1, 0]) + terms[:, 1, 1])
+    g2 = max(float(np.cumsum(per_stratum)[-1]), 0.0)
     p = float(special.chdtrc(df, g2))  # the chi-square survival function
     return G2Result(g2, df, p, False)
 

@@ -123,7 +123,7 @@ def _random_start(state: _SearchState, rng: np.random.Generator, max_indegree: i
     state.parents = {n: frozenset() for n in state.nodes}
     nodes = list(state.nodes)
     order = rng.permutation(len(nodes))
-    cap = 2 if max_indegree is None else min(2, max_indegree)
+    cap = 2 if max_indegree is None else min(2, max(max_indegree, 0))
     for pos, j in enumerate(order):
         child = nodes[j]
         candidates = [nodes[order[i]] for i in range(pos)]

@@ -23,6 +23,7 @@ __all__ = [
     "initial_impute",
     "em_impute",
     "edge_change_fraction",
+    "INITIAL_FILLS",
 ]
 
 Learner = Callable[[EventMatrix, int], Dag]
@@ -155,17 +156,15 @@ def _round_robin_impute(values: np.ndarray, k: int = 25, sweeps: int = 3) -> np.
     return work
 
 
+#: the single-pass fills ``initial_impute`` offers, by method name
+INITIAL_FILLS = {"mode": _mode_impute, "round_robin": _round_robin_impute}
+
+
 def initial_impute(m: EventMatrix, method: str = "mode") -> EventMatrix:
     """Single-pass fill of every missing cell; observed cells untouched."""
-    if m.is_complete:
-        return m
-    if method == "mode":
-        filled = _mode_impute(m.values)
-    elif method == "round_robin":
-        filled = _round_robin_impute(m.values)
-    else:
-        raise ValueError(f"unknown initial imputation method {method!r}")
-    return m.replace_values(filled)
+    if method not in INITIAL_FILLS:
+        raise ValueError(f"unknown initial imputation method {method!r}; expected one of {tuple(INITIAL_FILLS)}")
+    return m if m.is_complete else m.replace_values(INITIAL_FILLS[method](m.values))
 
 
 def edge_change_fraction(g1: Dag, g2: Dag) -> float:

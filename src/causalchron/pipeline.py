@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from ._coerce import coerce
 from ._rng import spawn_seed
 from .bayesnet import (
     Cpt,
@@ -28,7 +30,7 @@ from .bayesnet import (
     sample,
     write_dag,
 )
-from .causal import ace_surgery, effects_for_dag
+from .causal import REFUTATION_MODES, ace_surgery, effects_for_dag
 from .chronology import (
     build_chronology,
     compare_models,
@@ -39,7 +41,7 @@ from .chronology import (
 )
 from .dataset import EventMatrix, exclude_events, load_reads, missingness_profile, save_reads
 from .discovery import LEARNER_NAMES, get_learner
-from .imputation import em_impute
+from .imputation import INITIAL_FILLS, em_impute
 
 __all__ = [
     "ScenarioSpec",
@@ -198,10 +200,12 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _coerce_fields(self, "scenario.")
         if not 0.0 <= self.missing_rate < 1.0:
-            raise ValueError("missing rate must lie in [0, 1)")
+            raise ValueError("missing_rate must lie in [0, 1)")
         if self.n_rows is not None and self.n_rows < 1:
             raise ValueError("n_rows must be positive")
+        preset_network(self.preset, seed=self.seed)  # an unknown preset fails here, not at load
 
     def resolved_rows(self) -> int:
         if self.n_rows is not None:
@@ -289,69 +293,57 @@ class PipelineConfig:
     jobs: int = 1  # worker cap for stages with internal parallelism
 
     def __post_init__(self) -> None:
+        _coerce_fields(self)
         if (self.input_path is None) == (self.scenario is None):
             raise ValueError("exactly one of input_path and scenario is required")
         unknown = set(self.algorithms) - set(LEARNER_NAMES)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if self.impute_learner not in LEARNER_NAMES:
-            raise ValueError(f"unknown imputation learner {self.impute_learner!r}")
+        for key, ok, rule in (
+            ("impute_learner", self.impute_learner in LEARNER_NAMES, f"must be one of {LEARNER_NAMES}"),
+            ("ess", self.ess >= 0, "must be non-negative"),
+            ("impute_method", self.impute_method in INITIAL_FILLS, f"must be one of {tuple(INITIAL_FILLS)}"),
+            ("impute_max_iter", self.impute_max_iter >= 1, "must be at least 1"),
+            ("impute_tol", self.impute_tol >= 0, "must be non-negative"),
+            ("refutations", self.refutations in REFUTATION_MODES, f"must be one of {REFUTATION_MODES}"),
+            ("falsify_perms", self.falsify_perms >= 0, "must be non-negative"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
+        for name, params in self.learner_params.items():
+            if not (isinstance(params, dict) and all(isinstance(key, str) for key in params)):
+                raise ValueError(f"learner_params[{name!r}] must map parameter names to values, got {params!r}")
+            get_learner(name, **params)  # the error names the learner and the parameter
 
     def to_doc(self) -> dict:
-        doc = {
-            "input_path": self.input_path,
-            "scenario": None
-            if self.scenario is None
-            else {
-                "preset": self.scenario.preset,
-                "n_rows": self.scenario.n_rows,
-                "missing_rate": self.scenario.missing_rate,
-                "seed": self.scenario.seed,
-            },
-            "exclude": list(self.exclude),
-            "impute_method": self.impute_method,
-            "impute_learner": self.impute_learner,
-            "impute_tol": self.impute_tol,
-            "impute_max_iter": self.impute_max_iter,
-            "ess": self.ess,
-            "algorithms": list(self.algorithms),
-            "learner_params": self.learner_params,
-            "refutations": self.refutations,
-            "reference_models": [list(rm) for rm in self.reference_models],
-            "falsify_perms": self.falsify_perms,
-            "seed": self.seed,
-        }
-        return doc
+        """The settings that determine a run's artifacts (not where they go or how many workers)."""
+        return {key: value for key, value in asdict(self).items() if key not in ("output_dir", "jobs")}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
-        scenario = None
-        if doc.get("scenario") is not None:
-            s = doc["scenario"]
-            scenario = ScenarioSpec(
-                preset=s["preset"],
-                n_rows=s.get("n_rows"),
-                missing_rate=float(s.get("missing_rate", 0.0)),
-                seed=int(s.get("seed", 0)),
-            )
-        return cls(
-            input_path=doc.get("input_path"),
-            scenario=scenario,
-            exclude=tuple(doc.get("exclude", ())),
-            impute_method=doc.get("impute_method", "mode"),
-            impute_learner=doc.get("impute_learner", "hc"),
-            impute_tol=float(doc.get("impute_tol", 0.01)),
-            impute_max_iter=int(doc.get("impute_max_iter", 10)),
-            ess=float(doc.get("ess", 1.0)),
-            algorithms=tuple(doc.get("algorithms", ("hc", "pc", "lingam", "notears"))),
-            learner_params=dict(doc.get("learner_params", {})),
-            refutations=doc.get("refutations", "all"),
-            reference_models=tuple((rm[0], rm[1]) for rm in doc.get("reference_models", ())),
-            falsify_perms=int(doc.get("falsify_perms", 20)),
-            seed=int(doc.get("seed", 0)),
-            output_dir=doc.get("output_dir", "run"),
-            jobs=int(doc.get("jobs", 1)),
-        )
+        """The config a JSON document describes; unset keys keep the field defaults."""
+        kwargs = _known_keys(cls, doc, "config")
+        if kwargs.get("scenario") is not None:
+            kwargs["scenario"] = ScenarioSpec(**_known_keys(ScenarioSpec, kwargs["scenario"], "scenario"))
+        return cls(**kwargs)
+
+
+def _known_keys(cls: type, doc: object, what: str) -> dict:
+    """``doc`` as keyword arguments for dataclass ``cls``: every required field and no others."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    for problem, keys in (("unknown", set(doc) - {f.name for f in fields(cls)}), ("missing", required - set(doc))):
+        if keys:
+            raise ValueError(f"{problem} {what} keys: {sorted(keys)}")
+    return dict(doc)
+
+
+def _coerce_fields(obj: object, prefix: str = "") -> None:
+    """Convert each field of a frozen config dataclass to its declared type."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, coerce(hints[f.name], getattr(obj, f.name), prefix + f.name))
 
 
 def _canonical_json(doc: dict) -> str:

@@ -275,6 +275,11 @@ class TestFalsify:
         assert verdict.falsifiable
         assert not verdict.falsified
 
+    def test_negative_perms_rejected(self):
+        net = preset_network("chain-3")
+        with pytest.raises(ValueError, match="n_perm must be non-negative"):
+            falsify(net.dag, sample(net, 100, seed=0), n_perm=-1)
+
     def test_misoriented_collider_rejected(self):
         net = preset_network("chain-5")
         data = sample(net, 10000, seed=2)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalchron.dataset import MISSING, ContingencyTable, EventMatrix, contingency
+from causalchron.dataset import MISSING, ContingencyTable, EventMatrix, contingency, joint_counts
 from causalchron.discovery import ci_test_g2, fisher_exact
+from causalchron.discovery.citests import MIN_STRATUM_ROWS
 
 
 def matrix(labels, values):
@@ -99,6 +102,48 @@ class TestG2:
         m = matrix(["x", "y"], [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             ci_test_g2(m, "x", "x")
+
+
+def g2_loop(data, x, y, z):
+    """Reference: the per-stratum loop the array expression replaced."""
+    cols = [data.column_index(v) for v in z] + [data.column_index(x), data.column_index(y)]
+    counts = joint_counts(data.values, cols).reshape(-1, 2, 2).astype(np.float64)
+    totals = counts.sum(axis=(1, 2))
+    keep = totals >= MIN_STRATUM_ROWS
+    g2 = 0.0
+    for table, n in zip(counts[keep], totals[keep]):
+        rows = table.sum(axis=1, keepdims=True)
+        cols = table.sum(axis=0, keepdims=True)
+        expected = rows * cols / n
+        pos = table > 0
+        g2 += 2.0 * float((table[pos] * np.log(table[pos] / expected[pos])).sum())
+    return max(g2, 0.0), int(keep.sum())
+
+
+class TestG2MatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_z=st.integers(0, 3),
+        # per-stratum 2x2 cell counts; zeros and strata below MIN_STRATUM_ROWS are common
+        cells=st.lists(st.integers(0, 12), min_size=32, max_size=32),
+    )
+    def test_bit_identical_to_loop(self, n_z, cells):
+        rows = []
+        for stratum in range(1 << n_z):
+            zbits = [(stratum >> (n_z - 1 - k)) & 1 for k in range(n_z)]
+            for cell in range(4):
+                rows += [zbits + [cell >> 1, cell & 1]] * cells[4 * stratum + cell]
+        if not rows:
+            return
+        labels = [f"z{k}" for k in range(n_z)] + ["x", "y"]
+        m = matrix(labels, rows)
+        res = ci_test_g2(m, "x", "y", labels[:n_z])
+        statistic, df = g2_loop(m, "x", "y", labels[:n_z])
+        if df == 0:
+            assert res.degenerate and res.statistic == 0.0
+        else:
+            assert res.statistic == statistic
+            assert res.df == df
 
 
 class TestFisherExact:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from causalchron.bayesnet import Dag, write_dag
+from causalchron.bayesnet import Dag, read_dag, write_dag
 from causalchron.cli import main
 from causalchron.dataset import load_reads, save_reads
 
@@ -75,6 +75,26 @@ class TestDiscoverCommand:
         doc = json.loads((out / "stability.json").read_text())
         assert len(doc["lambda_grid"]) == 4
         assert "edge_frequencies" in doc
+
+    def test_flag_the_learner_does_not_take_exit_1(self, chain_data, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "discover", "--data", str(chain_data), "--algo", "pc", "--lambda", "5",
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'pc'" in err and "'lambda1'" in err
+        assert not out.exists()
+
+    def test_given_flags_reach_the_learner(self, chain_data, tmp_path, capsys):
+        # alpha=0 accepts every independence, so PC drops the edges it keeps at its default
+        edges = {}
+        for flags in ([], ["--alpha", "0"]):
+            out = tmp_path / f"pc{len(flags)}"
+            assert main(["discover", "--data", str(chain_data), "--algo", "pc", "--out", str(out), *flags]) == 0
+            edges[len(flags)] = len(read_dag(out / "dag.pc.edges").edges)
+        assert edges[0] > 0 and edges[2] == 0
 
     def test_bad_grid_exit_1(self, chain_data, tmp_path):
         assert main([
@@ -172,6 +192,14 @@ class TestFalsifyCommand:
         assert len(doc["baseline"]) == 10
 
 
+    def test_negative_perms_exit_1(self, chain_data, tmp_path, capsys):
+        dag_path = tmp_path / "dag.edges"
+        write_dag(Dag(("x1", "x2", "x3", "x4"), [("x1", "x2")]), dag_path)
+        code = main(["falsify", "--dag", str(dag_path), "--data", str(chain_data), "--perms", "-1"])
+        assert code == 1
+        assert "n_perm must be non-negative" in capsys.readouterr().err
+
+
 class TestPipelineCommand:
     def test_end_to_end_with_config(self, tmp_path, capsys):
         cfg = {
@@ -197,5 +225,65 @@ class TestPipelineCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            ({"learner_params": {"hc": {"bogus": 1}}}, "bogus"),
+            ({"learner_params": {"nottears": {"lambda1": 0.1}}}, "nottears"),
+            ({"impute_tol": -1}, "impute_tol"),
+            ({"impute_method": "foo"}, "impute_method"),
+            ({"ess": -1}, "ess"),
+            ({"ess": None}, "ess"),
+            ({"impute_max_iter": 0}, "impute_max_iter"),
+            ({"refutations": "some"}, "refutations"),
+            ({"falsify_perms": -1}, "falsify_perms"),
+            ({"algorithms": "hc"}, "algorithms"),
+            ({"jobs": 1, "bogus": 1}, "bogus"),
+            ({"scenario": {"n_rows": 50}}, "preset"),
+            ({"scenario": {"preset": "zzz"}}, "preset"),
+        ],
+    )
+    def test_bad_config_exit_1_before_any_artifact(self, tmp_path, capsys, setting, key):
+        cfg = {
+            "scenario": {"preset": "chain-4", "n_rows": 50, "missing_rate": 0.2, "seed": 1},
+            "algorithms": ["hc"],
+            **setting,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "absent.json")]) == 1
+
+
+MALFORMED_INPUTS = {
+    "ragged_row": "x1,x2,x3\nTrue,False,True\nTrue,False\nFalse,True,True\n",
+    "duplicate_labels": "x1,x1,x3\nTrue,False,True\nFalse,True,True\n",
+    "fully_missing_column": "x1,x2,x3\nTrue,NaN,True\nFalse,NaN,True\nTrue,NaN,False\n",
+    "single_row": "x1,x2,x3\nTrue,False,True\n",
+}
+
+
+class TestMalformedInputExitCodes:
+    """Load and impute failures are stage failures (2) in `pipeline` and input errors (1) in `impute`."""
+
+    @pytest.mark.parametrize(
+        "name, pipeline_code, impute_code",
+        [
+            ("ragged_row", 2, 1),
+            ("duplicate_labels", 2, 1),
+            ("fully_missing_column", 2, 1),
+            ("single_row", 0, 0),
+        ],
+    )
+    def test_exit_codes(self, tmp_path, capsys, name, pipeline_code, impute_code):
+        data = tmp_path / "data.csv"
+        data.write_text(MALFORMED_INPUTS[name])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input_path": str(data), "algorithms": ["hc"], "refutations": "none"}))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == pipeline_code
+        assert main(["impute", "--data", str(data), "--out", str(tmp_path / "imp")]) == impute_code

@@ -46,6 +46,9 @@ class TestHillClimbing:
         data = sample(preset_network("diamond"), 4000, seed=1)
         dag = hc_learn(data, max_indegree=1)
         assert all(len(dag.parents(n)) <= 1 for n in dag.nodes)
+        # a cap below 1 allows no parents, in the climb and in every restart
+        for cap in (0, -1):
+            assert not hc_learn(data, max_indegree=cap, seed=0, restarts=2).edges
 
     def test_deterministic(self):
         data = sample(preset_network("chain-5"), 1000, seed=5)
@@ -189,3 +192,28 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown learner"):
             get_learner("ges")
+
+    @pytest.mark.parametrize(
+        "name, misspelt",
+        [
+            ("hc", "max_indgree"),
+            ("pc", "alpah"),
+            ("lingam", "treshold"),
+            ("notears", "lambda"),
+            ("notears-stability", "n_resample"),
+        ],
+    )
+    def test_misspelt_parameter_names_learner_and_key(self, name, misspelt):
+        with pytest.raises(ValueError, match=f"learner '{name}' takes no parameter '{misspelt}'"):
+            get_learner(name, **{misspelt: 1})
+
+    def test_parameters_cast_to_the_declared_type(self):
+        data = sample(preset_network("chain-3"), 500, seed=0)
+        # a JSON 1 means 1.0 and 2.0 means 2, as the learner signatures declare
+        assert get_learner("lingam", threshold=1)(data, 0) == lingam_learn(data, threshold=1.0)
+        assert get_learner("hc", max_indegree=2.0)(data, 0) == hc_learn(data, max_indegree=2)
+        for bad in ({"alpha": None}, {"alpha": "0.05"}, {"alpha": True}, {"alpha": float("nan")}):
+            with pytest.raises(ValueError, match="learner 'pc' parameter 'alpha'"):
+                get_learner("pc", **bad)
+        with pytest.raises(ValueError, match="'max_indegree' must be int"):
+            get_learner("hc", max_indegree=1.5)
