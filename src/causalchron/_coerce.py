@@ -1,4 +1,5 @@
-"""Config values checked against, and converted to, the types their fields and parameters declare."""
+"""Config values checked against, and converted to, the types their fields and parameters declare,
+and checked against the ranges their functions allow."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import math
 import numbers
 import os
 import typing
+from typing import Any, Callable, Mapping
 
 
 def coerce(hint: object, value: object, what: str) -> object:
@@ -39,3 +41,15 @@ def coerce(hint: object, value: object, what: str) -> object:
     elif isinstance(hint, type) and hint not in (int, float) and isinstance(value, hint):
         return value
     raise ValueError(f"{what} must be {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
+
+
+def check_ranges(
+    ranges: Mapping[str, tuple[Callable[[Any], bool], str]], values: Mapping[str, object], what: str = ""
+) -> None:
+    """Raise a ValueError naming the first key of ``values`` whose value fails its test.
+
+    ``ranges`` maps a key to (test, what a value must be); keys it lacks are not checked.
+    """
+    for key, value in values.items():
+        if key in ranges and not ranges[key][0](value):
+            raise ValueError(f"{what}{key!r} must be {ranges[key][1]}, got {value!r}")

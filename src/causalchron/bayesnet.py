@@ -39,6 +39,7 @@ __all__ = [
     "fit_cpts",
     "log_likelihood",
     "bic_score",
+    "marginal",
     "query",
     "d_separated",
     "local_markov_statements",
@@ -277,10 +278,18 @@ class Cpt:
     @cached_property
     def table(self) -> np.ndarray:
         """P(node | parents) as a read-only array of shape ``(2,) * (k + 1)``, the node's axis last."""
-        p1 = self.p1.reshape((2,) * len(self.parents))
-        table = np.stack([1.0 - p1, p1], axis=-1)
+        table = _conditional_table(self.p1, len(self.parents))
         table.flags.writeable = False
         return table
+
+
+def _conditional_table(p1: np.ndarray, n_parents: int) -> np.ndarray:
+    """P(node | parents), shape ``(...,) + (2,) * (n_parents + 1)``, from P(node=1 | assignment).
+
+    ``p1`` has shape ``(..., K)`` with K = 2**n_parents; leading axes are kept.
+    """
+    table = np.stack([1.0 - p1, p1], axis=-1)
+    return table.reshape(table.shape[:-2] + (2,) * (n_parents + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,46 +317,65 @@ class DiscreteBayesNet:
         return float(self.marginal(nodes)[tuple(int(assignment[n]) for n in nodes)])
 
     def marginal(self, nodes: Sequence[str]) -> np.ndarray:
-        """P(nodes) as an array of shape ``(2,) * len(nodes)``, one axis per node in argument order.
-
-        Only the CPTs of the ancestral closure of ``nodes`` enter: every
-        other node is barren and sums to one.  The other variables of the
-        closure are summed out one at a time with ``np.einsum``, first the
-        one whose result has the smallest scope (ties by node order).
-        Labels are renumbered at each step, so einsum's 52-label cap limits
-        the scope of a single factor, not the size of the network.
-        """
-        nodes = tuple(nodes)
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("marginal nodes must be distinct")
-        keep = set(nodes)
-        for n in nodes:
-            keep |= self.dag.ancestors(n)
-        factors = [(c.parents + (c.node,), c.table) for c in self.cpts if c.node in keep]
-        remaining = [n for n in self.dag.nodes if n in keep and n not in nodes]
-
-        def scope_without(v: str) -> tuple[str, ...]:
-            return tuple(dict.fromkeys(u for s, _ in factors if v in s for u in s if u != v))
-
-        while remaining:
-            v = min(remaining, key=lambda u: len(scope_without(u)))
-            remaining.remove(v)
-            scope = scope_without(v)
-            involved = [f for f in factors if v in f[0]]
-            factors = [f for f in factors if v not in f[0]]
-            factors.append((scope, _contract(involved, scope)))
-        return _contract(factors, nodes)
+        """P(nodes) as an array of shape ``(2,) * len(nodes)``, one axis per node in argument order."""
+        return marginal(self.dag, {c.node: c.table for c in self.cpts}, nodes)
 
 
-def _contract(factors: Sequence[tuple[tuple[str, ...], np.ndarray]], out: Sequence[str]) -> np.ndarray:
-    """Product of (scope, table) factors, summed down to the variables ``out`` in that order."""
+def marginal(
+    dag: Dag, tables: Mapping[str, np.ndarray], nodes: Sequence[str], draws: bool = False
+) -> np.ndarray:
+    """P(nodes), one axis per node in argument order, from the table P(node | parents) of each node of ``dag``.
+
+    Only the tables of the ancestral closure of ``nodes`` enter: every
+    other node is barren and sums to one.  The other variables of the
+    closure are summed out one at a time with ``np.einsum``, first the
+    one whose result has the smallest scope (ties by node order).
+    Labels are renumbered at each step, so einsum's 52-label cap limits
+    the scope of a single factor, not the size of the network.
+
+    With ``draws``, every table carries a leading axis of independent
+    draws (shape ``(D,) + (2,) * (k + 1)``) and so does the result.  That
+    axis is one more einsum label, kept in every factor and in the output,
+    so the order of elimination is the one without it.
+    """
+    nodes = tuple(nodes)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("marginal nodes must be distinct")
+    keep = set(nodes)
+    for n in nodes:
+        keep |= dag.ancestors(n)
+    factors = [(dag.parents(n) + (n,), tables[n]) for n in dag.nodes if n in keep]
+    remaining = [n for n in dag.nodes if n in keep and n not in nodes]
+
+    def scope_without(v: str) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(u for s, _ in factors if v in s for u in s if u != v))
+
+    while remaining:
+        v = min(remaining, key=lambda u: len(scope_without(u)))
+        remaining.remove(v)
+        scope = scope_without(v)
+        involved = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((scope, _contract(involved, scope, draws)))
+    return _contract(factors, nodes, draws)
+
+
+def _contract(
+    factors: Sequence[tuple[tuple[str, ...], np.ndarray]], out: Sequence[str], draws: bool
+) -> np.ndarray:
+    """Product of (scope, table) factors, summed down to the variables ``out`` in that order.
+
+    With ``draws`` each table has a leading draw axis outside its scope,
+    labelled 0 in every operand and in the output.
+    """
+    lead = [0] if draws else []
     label: dict[str, int] = {}
     operands: list = []
     for scope, table in factors:
-        operands += [table, [label.setdefault(v, len(label)) for v in scope]]
+        operands += [table, lead + [label.setdefault(v, len(lead) + len(label)) for v in scope]]
     if not operands:
         return np.ones(())
-    return np.einsum(*operands, [label[v] for v in out])
+    return np.einsum(*operands, lead + [label[v] for v in out])
 
 
 @dataclass(frozen=True)
@@ -460,18 +488,21 @@ def _require_fittable(values: np.ndarray, ess: float) -> None:
         raise ValueError("ess must be non-negative")
 
 
-def _cpt_from_counts(node: str, parents: tuple[str, ...], counts: np.ndarray, ess: float) -> Cpt:
-    """The CPT of ``node`` from the joint counts of (parents, node) in binary counting order.
+def _cpt_from_counts(counts: np.ndarray, ess: float) -> np.ndarray:
+    """P(node=1 | assignment), shape ``(..., K)``, from the joint counts of (parents, node).
 
-    P(node=1 | assignment) = (count1 + ess/2) / (count + ess); an
-    assignment with zero denominator (ess=0, never observed) gets 0.5.
+    ``counts`` has shape ``(..., K, 2)``: the K parent assignments in
+    binary counting order, then the node's value.  P(node=1 | assignment) =
+    (count1 + ess/2) / (count + ess); an assignment with zero denominator
+    (ess=0, never observed) gets 0.5.  Leading axes (independent draws)
+    are elementwise.
     """
-    counts = counts.reshape(-1, 2).astype(np.float64)
-    n1, n = counts[:, 1], counts.sum(axis=1)
+    counts = counts.astype(np.float64)
+    n1, n = counts[..., 1], counts.sum(axis=-1)
     denom = n + ess
     with np.errstate(invalid="ignore", divide="ignore"):
         p1 = (n1 + ess / 2.0) / denom
-    return Cpt(node, parents, np.where(denom > 0, p1, 0.5))
+    return np.where(denom > 0, p1, 0.5)
 
 
 def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
@@ -489,7 +520,8 @@ def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
     for node in g.nodes:
         parents = g.parents(node)
         cols = [data.column_index(p) for p in parents] + [data.column_index(node)]
-        cpts.append(_cpt_from_counts(node, parents, joint_counts(data.values, cols), ess))
+        counts = joint_counts(data.values, cols).reshape(-1, 2)
+        cpts.append(Cpt(node, parents, _cpt_from_counts(counts, ess)))
     return DiscreteBayesNet(g, tuple(cpts))
 
 

@@ -22,10 +22,12 @@ from .bayesnet import (
     Dag,
     DiscreteBayesNet,
     ZeroProbabilityEvidence,
+    _conditional_table,
     _cpt_from_counts,
     _require_fittable,
     d_separated,
     fit_cpts,
+    marginal,
     query,
 )
 from .dataset import EventMatrix, assignment_index
@@ -136,29 +138,37 @@ def mediators(g: Dag, x: str, y: str) -> frozenset[str]:
 def ace(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
     """Average causal effect by exact backdoor adjustment on the verified backdoor set."""
     z = backdoor_set(bn.dag, x, y)
-    return EffectEstimate(x, y, "ACE", _ace_value(bn, x, y, z), z, frozenset())
+    order, read = _ace_reader(bn.dag, x, y, z)
+    return EffectEstimate(x, y, "ACE", read(bn.marginal(order)), z, frozenset())
 
 
-def _ace_value(bn: DiscreteBayesNet, x: str, y: str, z: frozenset[str]) -> float:
-    """Backdoor adjustment over the set z.
+#: the node order of an estimand's exact table and the estimate read off that table
+Reader = tuple[tuple[str, ...], Callable[[np.ndarray], float]]
 
-    value = sum_z [P(y=1 | x=1, Z=z) - P(y=1 | x=0, Z=z)] P(Z=z), read off
-    one exact table P(x, Z, y).  A stratum with P(Z=z) > 0 but
-    P(Z=z, x=v) = 0 raises ZeroProbabilityEvidence.
+
+def _ace_reader(dag: Dag, x: str, y: str, z: frozenset[str]) -> Reader:
+    """Backdoor adjustment over the set z, read off one exact table P(x, Z, y).
+
+    value = sum_z [P(y=1 | x=1, Z=z) - P(y=1 | x=0, Z=z)] P(Z=z).  A
+    stratum with P(Z=z) > 0 but P(Z=z, x=v) = 0 raises
+    ZeroProbabilityEvidence.
     """
-    z_sorted = tuple(sorted(z, key=bn.dag._index.__getitem__))
-    t = bn.marginal((x, *z_sorted, y))
-    p_xz = t.sum(axis=-1)
-    p_z = p_xz[0] + p_xz[1]
-    live = p_z > 0.0
-    if ((p_xz <= 0.0) & live).any():
-        raise ZeroProbabilityEvidence(
-            f"a stratum of {z_sorted} with positive probability never has {x!r} = 0 or 1"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_y = t[..., 1] / p_xz  # P(y=1 | x, Z)
-    value = ((p_y[1] - p_y[0]) * p_z)[live].sum()
-    return float(min(1.0, max(-1.0, value)))
+    z_sorted = tuple(sorted(z, key=dag._index.__getitem__))
+
+    def read(t: np.ndarray) -> float:
+        p_xz = t.sum(axis=-1)
+        p_z = p_xz[0] + p_xz[1]
+        live = p_z > 0.0
+        if ((p_xz <= 0.0) & live).any():
+            raise ZeroProbabilityEvidence(
+                f"a stratum of {z_sorted} with positive probability never has {x!r} = 0 or 1"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_y = t[..., 1] / p_xz  # P(y=1 | x, Z)
+        value = ((p_y[1] - p_y[0]) * p_z)[live].sum()
+        return float(min(1.0, max(-1.0, value)))
+
+    return (x, *z_sorted, y), read
 
 
 def ace_surgery(bn: DiscreteBayesNet, x: str, y: str) -> float:
@@ -179,33 +189,41 @@ def ace_surgery(bn: DiscreteBayesNet, x: str, y: str) -> float:
     return float(query(pinned(1), y) - query(pinned(0), y))
 
 
+def _nde_reader(dag: Dag, x: str, y: str, meds: frozenset[str], z: frozenset[str]) -> Reader:
+    """Mediation formula with baseline x=0, read off one exact table P(x, Z, M, y).
+
+    value = sum_{z,m} [P(y=1 | x=1, m, z) - P(y=1 | x=0, m, z)] P(m | x=0, z) P(z);
+    it reduces to the ACE when meds is empty.  Strata with
+    P(m | x=0, z) = 0 are skipped; a remaining one with P(z, m, x=1) = 0
+    raises ZeroProbabilityEvidence.
+    """
+    order = dag._index.__getitem__
+    m_sorted = tuple(sorted(meds, key=order))
+    z_sorted = tuple(sorted(z, key=order))
+
+    def read(t: np.ndarray) -> float:
+        p_xzm = t.sum(axis=-1)
+        p_xz = p_xzm.sum(axis=tuple(range(1 + len(z_sorted), p_xzm.ndim)), keepdims=True)
+        p_z = p_xz[0] + p_xz[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_m_given = p_xzm[0] / p_xz[0]  # P(M | x=0, Z)
+            p_y = t[..., 1] / p_xzm  # P(y=1 | x, Z, M)
+        live = (p_xz[0] > 0.0) & (p_m_given > 0.0)
+        if (live & (p_xzm[1] <= 0.0)).any():
+            raise ZeroProbabilityEvidence(
+                f"a stratum of {z_sorted + m_sorted} reached with {x!r} = 0 is never reached with {x!r} = 1"
+            )
+        value = ((p_y[1] - p_y[0]) * p_m_given * p_z)[live].sum()
+        return float(min(1.0, max(-1.0, value)))
+
+    return (x, *z_sorted, *m_sorted, y), read
+
+
 def _nde_value(
     bn: DiscreteBayesNet, x: str, y: str, meds: frozenset[str], z: frozenset[str]
 ) -> float:
-    """Mediation formula with baseline x=0; reduces to the ACE when meds is empty.
-
-    value = sum_{z,m} [P(y=1 | x=1, m, z) - P(y=1 | x=0, m, z)] P(m | x=0, z) P(z),
-    read off one exact table P(x, Z, M, y).  Strata with P(m | x=0, z) = 0
-    are skipped; a remaining one with P(z, m, x=1) = 0 raises
-    ZeroProbabilityEvidence.
-    """
-    order = bn.dag._index.__getitem__
-    m_sorted = tuple(sorted(meds, key=order))
-    z_sorted = tuple(sorted(z, key=order))
-    t = bn.marginal((x, *z_sorted, *m_sorted, y))
-    p_xzm = t.sum(axis=-1)
-    p_xz = p_xzm.sum(axis=tuple(range(1 + len(z_sorted), p_xzm.ndim)), keepdims=True)
-    p_z = p_xz[0] + p_xz[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_m_given = p_xzm[0] / p_xz[0]  # P(M | x=0, Z)
-        p_y = t[..., 1] / p_xzm  # P(y=1 | x, Z, M)
-    live = (p_xz[0] > 0.0) & (p_m_given > 0.0)
-    if (live & (p_xzm[1] <= 0.0)).any():
-        raise ZeroProbabilityEvidence(
-            f"a stratum of {z_sorted + m_sorted} reached with {x!r} = 0 is never reached with {x!r} = 1"
-        )
-    value = ((p_y[1] - p_y[0]) * p_m_given * p_z)[live].sum()
-    return float(min(1.0, max(-1.0, value)))
+    order, read = _nde_reader(bn.dag, x, y, meds, z)
+    return read(bn.marginal(order))
 
 
 def nde(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
@@ -344,8 +362,8 @@ class CausalRelationTable:
 
 def _refit_plan(
     dag: Dag, x: str, y: str, estimand_kind: str
-) -> tuple[Dag, Callable[[DiscreteBayesNet], float]]:
-    """The sub-DAG a refit needs and the estimate read off a network fitted on it.
+) -> tuple[Dag, tuple[str, ...], Callable[[np.ndarray], float]]:
+    """The sub-DAG a refit needs, the node order of the estimand's table and the estimate read off it.
 
     The backdoor set and the mediators are worked out once on ``dag``.
     The sub-DAG is the ancestral closure of {x, y}, which holds both, with
@@ -358,8 +376,43 @@ def _refit_plan(
     keep = {x, y} | dag.ancestors(x) | dag.ancestors(y)
     sub = Dag([n for n in dag.nodes if n in keep], [(p, c) for p, c in dag.edges if c in keep])
     if meds:
-        return sub, lambda refit: _nde_value(refit, x, y, meds, z)
-    return sub, lambda refit: _ace_value(refit, x, y, z)
+        return (sub, *_nde_reader(dag, x, y, meds, z))
+    return (sub, *_ace_reader(dag, x, y, z))
+
+
+def _subset_tables(
+    sub: Dag, values: np.ndarray, rows: np.ndarray, ess: float
+) -> dict[str, np.ndarray]:
+    """The table P(node | parents) of every node of ``sub``, refitted on each row set of ``rows``.
+
+    ``values`` holds the columns of ``sub.nodes`` in that order and
+    ``rows`` one row set per draw, shape (D, size).  Each row is keyed once
+    by the index of its distinct pattern over these columns, every draw is
+    counted in one bincount over (draw, pattern), and each node's
+    (parents, node) counts are summed from those pattern counts, so memory
+    is D x min(n, 2^|sub|).  The tables have shape ``(D,) + (2,) * (k + 1)``.
+    """
+    # the key of the columns so far is dense (below n), so packing at most 32
+    # more bits onto it stays within int64 however wide the sub-DAG is
+    key = np.zeros(len(values), dtype=np.int64)
+    for start in range(0, values.shape[1], 32):
+        cols = range(start, min(start + 32, values.shape[1]))
+        _, first, key = np.unique(
+            (key << len(cols)) | assignment_index(values, cols), return_index=True, return_inverse=True
+        )
+    patterns = values[first]
+    n_draws, n_patterns = len(rows), len(patterns)
+    draw = np.arange(n_draws)[:, None]
+    pattern_counts = np.bincount((draw * n_patterns + key[rows]).ravel(), minlength=n_draws * n_patterns)
+    tables = {}
+    for n in sub.nodes:
+        ps = sub.parents(n)
+        cells = 2 << len(ps)
+        local = assignment_index(patterns, [sub._index[v] for v in (*ps, n)])
+        # float64 sums of integer counts below 2**53 are exact
+        counts = np.bincount((draw * cells + local).ravel(), weights=pattern_counts, minlength=n_draws * cells)
+        tables[n] = _conditional_table(_cpt_from_counts(counts.reshape(n_draws, -1, 2), ess), len(ps))
+    return tables
 
 
 def refute(
@@ -379,39 +432,36 @@ def refute(
     treatment and outcome must leave the estimate unchanged.
 
     A refit fits only the CPTs the estimand reads, those of the ancestral
-    closure of the treatment and the outcome, and the subset draws count
-    each of them from (parents, node) indices packed once over the full
-    data.  The result is the same as refitting the whole network.
+    closure of the treatment and the outcome, and reads the estimate off
+    one exact table of the estimand's nodes.  The subset refutation draws
+    its row sets up front and refits all of them at once: one count over
+    (draw, row pattern) of the sub-DAG's columns gives every node's counts
+    in every draw, the ESS formula runs once on the stacked counts, and
+    one elimination with a leading draw axis gives one table per draw.
+    The result is the same as refitting the whole network per draw.
     """
     x, y = estimate.treatment, estimate.outcome
     rng = np.random.default_rng(spawn_seed(seed, "refute", kind, x, y))
 
     if kind == "placebo":
-        sub, estimate_on = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
+        sub, order, read = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
         values = data.values.copy()
         xi = data.column_index(x)
-        marginal = float((values[:, xi] == 1).mean())
-        values[:, xi] = (rng.random(data.n_rows) < marginal).astype(np.int8)
-        refuted = estimate_on(fit_cpts(sub, data.replace_values(values), ess=ess))
+        p_x = float((values[:, xi] == 1).mean())
+        values[:, xi] = (rng.random(data.n_rows) < p_x).astype(np.int8)
+        refuted = read(fit_cpts(sub, data.replace_values(values), ess=ess).marginal(order))
         return RefutationResult(kind, refuted, abs(refuted) <= ABS_TOLERANCE, ABS_TOLERANCE)
 
     if kind == "subset":
-        sub, estimate_on = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
+        sub, order, read = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
         _require_fittable(data.values, ess)
-        packed = []
-        for n in sub.nodes:
-            cols = [data.column_index(v) for v in (*sub.parents(n), n)]
-            packed.append((n, sub.parents(n), assignment_index(data.values, cols)))
         size = int(np.ceil(SUBSET_FRACTION * data.n_rows))
-        draws = []
-        for _ in range(SUBSET_DRAWS):
-            rows = rng.choice(data.n_rows, size=size, replace=False)
-            cpts = tuple(
-                _cpt_from_counts(n, ps, np.bincount(idx[rows], minlength=2 << len(ps)), ess)
-                for n, ps, idx in packed
-            )
-            draws.append(estimate_on(DiscreteBayesNet(sub, cpts)))
-        mean = float(np.mean(draws))
+        rows = np.stack(
+            [rng.choice(data.n_rows, size=size, replace=False) for _ in range(SUBSET_DRAWS)]
+        )
+        values = data.values[:, [data.column_index(n) for n in sub.nodes]]
+        t = marginal(sub, _subset_tables(sub, values, rows, ess), order, draws=True)
+        mean = float(np.mean([read(t[d]) for d in range(SUBSET_DRAWS)]))
         tol = SUBSET_REL_TOLERANCE * abs(estimate.value) + SUBSET_ABS_TOLERANCE
         return RefutationResult(kind, mean, abs(mean - estimate.value) <= tol, tol)
 
@@ -424,8 +474,8 @@ def refute(
             provenance=data.provenance,
         )
         dag = Dag(extended.columns, set(bn.dag.edges) | {(label, x), (label, y)})
-        sub, estimate_on = _refit_plan(dag, x, y, estimate.estimand_kind)
-        refuted = estimate_on(fit_cpts(sub, extended, ess=ess))
+        sub, order, read = _refit_plan(dag, x, y, estimate.estimand_kind)
+        refuted = read(fit_cpts(sub, extended, ess=ess).marginal(order))
         return RefutationResult(
             kind, refuted, abs(refuted - estimate.value) <= ABS_TOLERANCE, ABS_TOLERANCE
         )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from ..dataset import MISSING, ContingencyTable, EventMatrix, joint_counts
 
@@ -88,6 +88,10 @@ def fisher_exact(t: ContingencyTable) -> float:
     n = t.total
     row1 = t.n10 + t.n11
     col1 = t.n01 + t.n11
+    # imported here, not at module level: only the frequency baseline calls
+    # this, and importing scipy.stats costs every process about 0.7 s
+    from scipy import stats
+
     rv = stats.hypergeom(n, row1, col1)
     support = np.arange(max(0, row1 + col1 - n), min(row1, col1) + 1)
     pmf = rv.pmf(support)

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from .._coerce import check_ranges
 from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
 
@@ -31,6 +32,10 @@ __all__ = [
     "notears_learn",
     "threshold_to_dag",
 ]
+
+
+#: the allowed values of the parameters :func:`notears_learn` checks
+PARAM_RANGES = {"lambda1": (lambda v: v >= 0, "non-negative")}
 
 
 class NotearsConvergenceError(RuntimeError):
@@ -114,6 +119,7 @@ def notears_learn(
     Raises :class:`NotearsConvergenceError` (carrying the final h) when the
     penalty cap is reached first; converged runs always satisfy h <= h_tol.
     """
+    check_ranges(PARAM_RANGES, {"lambda1": lambda1})
     if not data.is_complete:
         raise ValueError("notears requires complete data")
     x = data.values.astype(np.float64)

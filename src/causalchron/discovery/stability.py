@@ -14,12 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._coerce import check_ranges
 from .._rng import spawn_seed
 from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
 from .notears import NotearsConvergenceError, notears_learn
 
 __all__ = ["StabilityReport", "default_lambda_grid", "stability_select"]
+
+#: the allowed values of the parameters :func:`stability_select` checks
+PARAM_RANGES = {
+    "lambda_grid": (
+        lambda g: g is None or (len(g) > 0 and min(g) > 0 and list(g) == sorted(g)),
+        "null or a non-empty, positive, ascending grid",
+    ),
+    "n_resamples": (lambda n: n >= 1, "at least 1"),
+    "subsample_frac": (lambda f: 0 < f <= 1, "in (0, 1]"),
+}
 
 
 def default_lambda_grid(start: float = 1e-3, stop: float = 1.0, num: int = 16) -> tuple[float, ...]:
@@ -72,9 +83,11 @@ def stability_select(
     on a thread pool, and results reduce by cell index, so the report is
     identical whatever the scheduling.
     """
+    check_ranges(
+        PARAM_RANGES,
+        {"lambda_grid": lambda_grid, "n_resamples": n_resamples, "subsample_frac": subsample_frac},
+    )
     grid = tuple(lambda_grid) if lambda_grid is not None else default_lambda_grid()
-    if any(l <= 0 for l in grid) or list(grid) != sorted(grid):
-        raise ValueError("lambda grid must be positive and ascending")
     if not data.is_complete:
         raise ValueError("stability selection requires complete data")
     n = data.n_rows

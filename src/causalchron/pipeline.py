@@ -381,9 +381,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         artifacts.append("data.csv")
         return matrix
 
+    def exclude_stage() -> EventMatrix:
+        kept = [c for c in matrix.columns if c not in cfg.exclude]
+        if len(kept) < 2:
+            raise ValueError(
+                f"exclude={list(cfg.exclude)} leaves the events {kept}; the pipeline needs at least 2"
+            )
+        return exclude_events(matrix, cfg.exclude)
+
     matrix = stage("load", load_stage)
     if cfg.exclude:
-        matrix = stage("exclude", lambda: exclude_events(matrix, cfg.exclude))
+        matrix = stage("exclude", exclude_stage)
     emit("missingness.json", missingness_profile(matrix).to_json())
 
     def impute_stage():

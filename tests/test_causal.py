@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalchron._rng import spawn_seed
-from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, ZeroProbabilityEvidence, fit_cpts, sample
+from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, ZeroProbabilityEvidence, fit_cpts, marginal, sample
 from causalchron.causal import (
     ABS_TOLERANCE,
     SUBSET_ABS_TOLERANCE,
@@ -21,7 +23,7 @@ from causalchron.causal import (
     nde,
     refute,
 )
-from causalchron.causal import _nde_value
+from causalchron.causal import _nde_value, _refit_plan, _subset_tables
 from causalchron.dataset import EventMatrix
 
 from conftest import random_network
@@ -360,6 +362,55 @@ class TestRefutations:
             refute(bn, data, estimate, "random_common_cause", seed=3, ess=0.0)
         refute(bn, data, estimate, "placebo", seed=3, ess=0.0)
         assert_refutes_like_reference(bn, data, estimate, 3, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(5, 150),
+        st.sampled_from([0.0, 1.0]),
+    )
+    def test_batched_tables_equal_per_draw_marginals(self, net_seed, d, n, ess):
+        # the subset draws are counted together and contracted with a leading
+        # draw axis; each slice must be the marginal of that draw's refit, bit for bit
+        rng = np.random.default_rng(net_seed)
+        truth = random_network(rng, d)
+        data = sample(truth, n, seed=net_seed)
+        rows = np.stack([rng.choice(n, size=max(1, n - 3), replace=False) for _ in range(SUBSET_DRAWS)])
+        for x, y in truth.dag.sorted_edges():
+            kind = "NDE" if mediators(truth.dag, x, y) else "ACE"
+            sub, order, _ = _refit_plan(truth.dag, x, y, kind)
+            values = data.values[:, [data.column_index(v) for v in sub.nodes]]
+            batched = marginal(sub, _subset_tables(sub, values, rows, ess), order, draws=True)
+            per_draw = np.stack(
+                [fit_cpts(sub, data.replace_values(data.values[r]), ess=ess).marginal(order) for r in rows]
+            )
+            assert batched.shape == per_draw.shape
+            assert np.array_equal(batched, per_draw)
+
+    def test_wide_subset_counts_patterns_not_the_joint(self):
+        # a 70-node chain closed by x0 -> x69: the sub-DAG of the last edge holds
+        # every node and its estimate reads every CPT, so a dense 2^70 joint, or
+        # one int64 key over all columns, could not work
+        labels = tuple(f"x{i}" for i in range(70))
+        dag = Dag(labels, [*zip(labels, labels[1:]), ("x0", "x69")])
+        rng = np.random.default_rng(4)
+        truth = DiscreteBayesNet(
+            dag, tuple(Cpt(v, dag.parents(v), rng.uniform(0.1, 0.9, 1 << len(dag.parents(v)))) for v in labels)
+        )
+        data = sample(truth, 300, seed=4)
+        bn = fit_cpts(dag, data)
+        estimate = ace(bn, "x68", "x69")
+        tracemalloc.start()
+        try:
+            got = refute(bn, data, estimate, "subset", seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert (got.refuted_value, got.passed, got.tolerance) == reference_refute(
+            bn, data, estimate, "subset", 2, 1.0
+        )
 
     def test_placebo_on_genuine_effect_passes(self, chain_ab):
         data = sample(chain_ab, 5000, seed=6)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalchron
 from causalchron.dataset import MISSING, ContingencyTable, EventMatrix, contingency, joint_counts
 from causalchron.discovery import ci_test_g2, fisher_exact
 from causalchron.discovery.citests import MIN_STRATUM_ROWS
@@ -173,3 +178,11 @@ class TestFisherExact:
             ours = fisher_exact(t)
             _, theirs = scipy.stats.fisher_exact(t.as_array(), alternative="two-sided")
             assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # fisher_exact imports scipy.stats itself, so start-up does not pay for it
+        src = str(Path(causalchron.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, causalchron, causalchron.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -241,6 +241,13 @@ class TestPipelineCommand:
             ({"jobs": 1, "bogus": 1}, "bogus"),
             ({"scenario": {"n_rows": 50}}, "preset"),
             ({"scenario": {"preset": "zzz"}}, "preset"),
+            ({"learner_params": {"notears-stability": {"subsample_frac": 1.5}}}, "subsample_frac"),
+            ({"learner_params": {"notears-stability": {"subsample_frac": 0}}}, "subsample_frac"),
+            ({"learner_params": {"notears-stability": {"lambda_grid": []}}}, "lambda_grid"),
+            ({"learner_params": {"notears-stability": {"lambda_grid": [-1.0]}}}, "lambda_grid"),
+            ({"learner_params": {"notears-stability": {"lambda_grid": [0.5, 0.1]}}}, "lambda_grid"),
+            ({"learner_params": {"notears-stability": {"n_resamples": 0}}}, "n_resamples"),
+            ({"learner_params": {"notears": {"lambda1": -1}}}, "lambda1"),
         ],
     )
     def test_bad_config_exit_1_before_any_artifact(self, tmp_path, capsys, setting, key):

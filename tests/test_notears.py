@@ -145,6 +145,22 @@ class TestNotearsLearn:
 
 
 class TestStabilitySelection:
+    def test_learners_check_the_ranges_get_learner_checks(self):
+        data = sample(preset_network("chain-3"), 60, seed=0)
+        for kwargs in (
+            {"subsample_frac": 1.5},
+            {"subsample_frac": 0.0},
+            {"lambda_grid": ()},
+            {"lambda_grid": (-1.0,)},
+            {"lambda_grid": (0.5, 0.1)},
+            {"n_resamples": 0},
+        ):
+            (key,) = kwargs
+            with pytest.raises(ValueError, match=f"'{key}' must be"):
+                stability_select(data, **kwargs)
+        with pytest.raises(ValueError, match="'lambda1' must be non-negative"):
+            notears_learn(data, lambda1=-1.0)
+
     def test_single_cell_degenerates_to_plain_fit(self):
         data = sample(preset_network("chain-4"), 1500, seed=4)
         report = stability_select(

@@ -164,6 +164,30 @@ class TestRunPipeline:
             PipelineConfig()
         with pytest.raises(ValueError, match="unknown algorithms"):
             PipelineConfig(scenario=SMALL_SCENARIO, algorithms=("ges",))
+        # learner values out of range fail when the config is built, not in the discover stage
+        for learner, key, value in [
+            ("notears-stability", "subsample_frac", 1.5),
+            ("notears-stability", "subsample_frac", 0.0),
+            ("notears-stability", "lambda_grid", ()),
+            ("notears-stability", "lambda_grid", (-1.0,)),
+            ("notears-stability", "lambda_grid", (0.5, 0.1)),
+            ("notears-stability", "n_resamples", 0),
+            ("notears", "lambda1", -1.0),
+        ]:
+            with pytest.raises(ValueError, match=f"learner '{learner}' parameter '{key}' must be"):
+                PipelineConfig(scenario=SMALL_SCENARIO, learner_params={learner: {key: value}})
+
+    def test_exclude_leaving_one_event_fails_at_exclude(self, tmp_path):
+        cfg = PipelineConfig(
+            scenario=ScenarioSpec(preset="chain-4", n_rows=50, missing_rate=0.2, seed=3),
+            exclude=("x1", "x2", "x3"),
+            algorithms=("hc",),
+            refutations="none",
+            output_dir=str(tmp_path / "run"),
+        )
+        with pytest.raises(StageFailure, match=r"exclude=\['x1', 'x2', 'x3'\] leaves the events \['x4'\]") as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "exclude"
 
     def test_config_doc_round_trip(self):
         cfg = PipelineConfig(
@@ -222,9 +246,12 @@ VALID_DOCS = st.fixed_dictionaries(
 TOP_KEYS = ("input_path", "scenario", "exclude", "impute_method", "impute_learner", "impute_tol",
             "impute_max_iter", "ess", "algorithms", "learner_params", "refutations", "reference_models",
             "falsify_perms", "seed", "jobs", "bogus_key")
-#: (learner, key) pairs: real parameters, misspelt ones, one a learner lacks, and a misspelt learner
+#: (learner, key) pairs: real parameters, misspelt ones, one a learner lacks, a misspelt learner,
+#: and the parameters whose ranges the NOTEARS learners check
 LEARNER_KEYS = (("hc", "max_indegree"), ("hc", "restarts"), ("hc", "max_indegre"), ("pc", "alpha"),
-                ("pc", "lambda1"), ("lingam", "threshold"), ("nottears", "lambda1"))
+                ("pc", "lambda1"), ("lingam", "threshold"), ("nottears", "lambda1"), ("notears", "lambda1"),
+                ("notears-stability", "subsample_frac"), ("notears-stability", "lambda_grid"),
+                ("notears-stability", "n_resamples"))
 
 
 @st.composite
