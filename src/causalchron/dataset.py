@@ -289,18 +289,13 @@ def cooccurrence_counts(m: EventMatrix, target: str) -> dict[frozenset[str], int
     return out
 
 
-def _run_count(row: np.ndarray) -> int:
-    miss = row == MISSING
-    if not miss.any():
-        return 0
-    changes = np.diff(miss.astype(np.int8))
-    return int((changes == 1).sum() + (1 if miss[0] else 0))
-
-
 def missingness_profile(m: EventMatrix) -> MissingnessProfile:
     miss = m.values == MISSING
     fractions = tuple(float(f) for f in miss.mean(axis=0))
-    runs = tuple(_run_count(row) for row in m.values)
+    # a run of missing cells starts where a cell is missing and its left neighbour is not
+    run_starts = miss.copy()
+    run_starts[:, 1:] &= ~miss[:, :-1]
+    runs = tuple(run_starts.sum(axis=1).tolist())
     return MissingnessProfile(
         columns=m.columns,
         missing_fraction=fractions,

@@ -44,16 +44,17 @@ def _standardize(u: np.ndarray) -> np.ndarray:
     return u / sd if sd > _VAR_EPS else u
 
 
-def _pairwise_ratio(xi: np.ndarray, xj: np.ndarray) -> float:
-    """Positive when the model i -> j explains the pair better than j -> i."""
-    var_i = xi.var()
-    var_j = xj.var()
-    if var_i <= _VAR_EPS or var_j <= _VAR_EPS:
-        return 0.0
+def _pairwise_ratio(xi: np.ndarray, xj: np.ndarray, h_i: float, h_j: float) -> float:
+    """Positive when the model i -> j explains the pair better than j -> i.
+
+    ``h_i`` and ``h_j`` are the entropy proxies of the standardized columns,
+    which must not be constant.  Swapping i and j swaps the two residuals
+    and the two sums, so the ratio of (j, i) is exactly minus this one.
+    """
     r_j_given_i = xj - (np.dot(xi, xj) / np.dot(xi, xi)) * xi
     r_i_given_j = xi - (np.dot(xj, xi) / np.dot(xj, xj)) * xj
-    h_forward = _entropy_proxy(_standardize(xi)) + _entropy_proxy(_standardize(r_j_given_i))
-    h_backward = _entropy_proxy(_standardize(xj)) + _entropy_proxy(_standardize(r_i_given_j))
+    h_forward = h_i + _entropy_proxy(_standardize(r_j_given_i))
+    h_backward = h_j + _entropy_proxy(_standardize(r_i_given_j))
     return h_backward - h_forward
 
 
@@ -68,14 +69,20 @@ def _causal_order(centered: np.ndarray) -> list[int]:
         if constants:
             root = constants[0]
         else:
+            entropy = {j: _entropy_proxy(_standardize(resid[:, j])) for j in remaining}
+            ratio = [[0.0] * d for _ in range(d)]  # antisymmetric: each pair scored once
+            for pos, i in enumerate(remaining):
+                for j in remaining[pos + 1 :]:
+                    r = _pairwise_ratio(resid[:, i], resid[:, j], entropy[i], entropy[j])
+                    ratio[i][j] = r
+                    ratio[j][i] = -r
             scores = []
             for i in remaining:
                 t = 0.0
                 for j in remaining:
                     if j == i:
                         continue
-                    r = _pairwise_ratio(resid[:, i], resid[:, j])
-                    t += min(0.0, r) ** 2
+                    t += min(0.0, ratio[i][j]) ** 2
                 scores.append((t, i))
             root = min(scores)[1]
         order.append(root)

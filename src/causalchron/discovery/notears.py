@@ -80,7 +80,7 @@ def acyclicity_h(w: np.ndarray) -> tuple[float, np.ndarray]:
         raise ValueError("W must be finite")
     d = w.shape[0]
     e = scipy.linalg.expm(w * w)
-    return float(np.trace(e) - d), e.T * (2.0 * w)
+    return float(e.trace() - d), e.T * (2.0 * w)
 
 
 def threshold_to_dag(adj: WeightedAdjacency, omega: float) -> tuple[Dag, float]:
@@ -132,21 +132,31 @@ def notears_learn(
     n, d = x.shape
     gram = x.T @ x / n
     diag_idx = np.arange(d)
+    dd = d * d
+    eye = np.eye(d)
+    # one gradient buffer, filled through views of its W+ and W- halves
+    grad = np.empty(2 * dd)
+    grad_pos = grad[:dd].reshape(d, d)
+    grad_neg = grad[dd:].reshape(d, d)
 
     def unpack(vec: np.ndarray) -> np.ndarray:
-        return (vec[: d * d] - vec[d * d :]).reshape(d, d)
+        return (vec[:dd] - vec[dd:]).reshape(d, d)
 
+    # Every float below is bit-identical to the textbook form kept in
+    # tests/test_notears.py, so L-BFGS-B takes the same path: negation is
+    # exact and IEEE addition commutes, hence lambda1 - g == -g + lambda1.
     def objective(vec: np.ndarray, rho: float, alpha: float) -> tuple[float, np.ndarray]:
         w = unpack(vec)
-        delta = w - np.eye(d)
-        loss = 0.5 * float(np.trace(delta.T @ gram @ delta))
-        g_loss = gram @ delta
-        h, g_h = acyclicity_h(w)
-        smooth = loss + 0.5 * rho * h * h + alpha * h
-        g_smooth = g_loss + (rho * h + alpha) * g_h
-        value = smooth + lambda1 * float(vec.sum())
-        grad = np.concatenate([(g_smooth + lambda1).ravel(), (-g_smooth + lambda1).ravel()])
-        return value, grad
+        delta = w - eye
+        loss = 0.5 * float((delta.T @ gram @ delta).trace())
+        h, g_smooth = acyclicity_h(w)
+        g_smooth *= rho * h + alpha
+        g_smooth += gram @ delta
+        value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * float(vec.sum())
+        np.add(g_smooth, lambda1, out=grad_pos)
+        np.subtract(lambda1, g_smooth, out=grad_neg)
+        # scipy keeps the returned gradient (MemoizeJac), so hand out a copy
+        return value, grad.copy()
 
     is_diag = np.eye(d, dtype=bool).ravel()
     bounds = [(0.0, 0.0) if flag else (0.0, None) for flag in np.tile(is_diag, 2)]

@@ -12,6 +12,7 @@ reproduces the output directory exactly.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -271,6 +272,11 @@ def simulate(spec: ScenarioSpec) -> tuple[EventMatrix, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _default(fn, param: str):
+    """The default ``fn`` declares for ``param``: a stage's signature is the one home of its defaults."""
+    return inspect.signature(fn).parameters[param].default
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Resolved settings for one run; exactly one input source."""
@@ -278,16 +284,16 @@ class PipelineConfig:
     input_path: str | None = None
     scenario: ScenarioSpec | None = None
     exclude: tuple[str, ...] = ()
-    impute_method: str = "mode"
+    impute_method: str = _default(em_impute, "initial_method")
     impute_learner: str = "hc"
-    impute_tol: float = 0.01
-    impute_max_iter: int = 10
-    ess: float = 1.0
+    impute_tol: float = _default(em_impute, "tol")
+    impute_max_iter: int = _default(em_impute, "max_iter")
+    ess: float = _default(effects_for_dag, "ess")
     algorithms: tuple[str, ...] = ("hc", "pc", "lingam", "notears")
     learner_params: dict = field(default_factory=dict)
-    refutations: str = "all"
+    refutations: str = _default(effects_for_dag, "refutations")
     reference_models: tuple[tuple[str, str], ...] = ()  # (name, dag file)
-    falsify_perms: int = 20
+    falsify_perms: int = _default(falsify, "n_perm")
     seed: int = 0
     output_dir: str = "run"
     jobs: int = 1  # worker cap for stages with internal parallelism

@@ -196,6 +196,29 @@ class TestMissingness:
         m = EventMatrix(tuple("abcde"), values)
         assert missingness_profile(m).fully_observed_rows == 930
 
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.lists(st.sampled_from([0, 1, MISSING]), min_size=6, max_size=6),
+                st.just([MISSING] * 6),
+                st.lists(st.sampled_from([0, 1]), min_size=6, max_size=6),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_run_counts_match_per_row_loop(self, rows):
+        values = np.array(rows, dtype=np.int8)
+        want = []
+        for row in values:  # count the 0 -> 1 steps of each row's missing flags
+            miss = row == MISSING
+            changes = np.diff(miss.astype(np.int8))
+            want.append(int((changes == 1).sum() + (1 if miss[0] else 0)))
+        p = missingness_profile(EventMatrix(tuple("abcdef"), values))
+        assert p.row_run_counts == tuple(want)
+        assert all(type(r) is int for r in p.row_run_counts)
+        assert p.row_single_block == tuple(r <= 1 for r in want)
+
     def test_json_report_schema(self):
         m = EventMatrix(("a", "b"), np.array([[1, MISSING], [0, 1]], dtype=np.int8))
         import json

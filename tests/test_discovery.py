@@ -132,6 +132,45 @@ class TestPc:
             pc_learn(data)  # Dag constructor validates acyclicity
 
 
+def ordered_pair_loop(centered):
+    """Reference direct ordering: both directions of every pair scored from scratch."""
+    from causalchron.discovery.lingam import _VAR_EPS, _entropy_proxy, _standardize
+
+    def ratio(xi, xj):
+        if xi.var() <= _VAR_EPS or xj.var() <= _VAR_EPS:
+            return 0.0
+        r_j_given_i = xj - (np.dot(xi, xj) / np.dot(xi, xi)) * xi
+        r_i_given_j = xi - (np.dot(xj, xi) / np.dot(xj, xj)) * xj
+        h_forward = _entropy_proxy(_standardize(xi)) + _entropy_proxy(_standardize(r_j_given_i))
+        h_backward = _entropy_proxy(_standardize(xj)) + _entropy_proxy(_standardize(r_i_given_j))
+        return h_backward - h_forward
+
+    remaining = list(range(centered.shape[1]))
+    resid = centered.copy()
+    order = []
+    while len(remaining) > 1:
+        constants = [j for j in remaining if resid[:, j].var() <= _VAR_EPS]
+        if constants:
+            root = constants[0]
+        else:
+            scores = []
+            for i in remaining:
+                t = 0.0
+                for j in remaining:
+                    if j != i:
+                        t += min(0.0, ratio(resid[:, i], resid[:, j])) ** 2
+                scores.append((t, i))
+            root = min(scores)[1]
+        order.append(root)
+        remaining.remove(root)
+        xr = resid[:, root]
+        denom = np.dot(xr, xr)
+        if denom > _VAR_EPS:
+            for j in remaining:
+                resid[:, j] = resid[:, j] - (np.dot(xr, resid[:, j]) / denom) * xr
+    return order + remaining
+
+
 class TestLingam:
     def test_single_column(self):
         m = EventMatrix(("a",), np.array([[1], [0], [1]], dtype=np.int8))
@@ -156,7 +195,7 @@ class TestLingam:
     def test_continuous_sem_ordering_internals(self):
         # the ordering core works on real-valued columns; feed it the
         # classic two-variable SEM with uniform noise directly
-        from causalchron.discovery.lingam import _causal_order, _pairwise_ratio
+        from causalchron.discovery.lingam import _causal_order, _entropy_proxy, _pairwise_ratio, _standardize
 
         rng = np.random.default_rng(1)
         e1 = rng.uniform(-1, 1, size=5000)
@@ -166,7 +205,8 @@ class TestLingam:
         centered = np.column_stack([x2, x1])  # deliberately scrambled order
         centered -= centered.mean(axis=0)
         assert _causal_order(centered) == [1, 0]
-        assert _pairwise_ratio(centered[:, 1], centered[:, 0]) > 0
+        h1, h2 = (_entropy_proxy(_standardize(centered[:, j])) for j in (1, 0))
+        assert _pairwise_ratio(centered[:, 1], centered[:, 0], h1, h2) > 0
 
     def test_constant_column_exogenous_without_edges(self):
         rng = np.random.default_rng(5)
@@ -179,6 +219,32 @@ class TestLingam:
     def test_deterministic(self):
         data = sample(preset_network("chain-4"), 2000, seed=12)
         assert lingam_learn(data) == lingam_learn(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            sample(preset_network("ndhb-like"), 1899, seed=0),
+            sample(preset_network("chain-5"), 2000, seed=3),
+            sample(random_network(np.random.default_rng(4), 7), 500, seed=4),
+            EventMatrix(
+                ("a", "b", "c"),
+                np.column_stack(
+                    [np.ones(300), np.random.default_rng(6).integers(0, 2, (300, 2))]
+                ).astype(np.int8),
+            ),
+        ],
+        ids=["ndhb-like", "chain-5", "random-7", "constant-column"],
+    )
+    def test_same_order_and_edges_as_ordered_pair_loop(self, monkeypatch, data):
+        from causalchron.discovery import lingam
+
+        centered = data.values.astype(np.float64)
+        centered -= centered.mean(axis=0)
+        order = lingam._causal_order(centered)
+        edges = lingam_learn(data).edges
+        monkeypatch.setattr(lingam, "_causal_order", ordered_pair_loop)
+        assert order == ordered_pair_loop(centered)
+        assert edges == lingam_learn(data).edges
 
 
 class TestRegistry:

@@ -1,11 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalchron.bayesnet import sample
 from causalchron.dataset import EventMatrix
 from causalchron.discovery import (
+    NotearsConvergenceError,
     WeightedAdjacency,
     acyclicity_h,
     default_lambda_grid,
@@ -14,6 +20,8 @@ from causalchron.discovery import (
     threshold_to_dag,
 )
 from causalchron.pipeline import preset_network
+
+from conftest import random_network
 
 UNIT_2CYCLE_H = math.e + math.exp(-1) - 2  # eigenvalues of W*W are +-1
 
@@ -73,10 +81,11 @@ class TestAcyclicityH:
             assert (value < 1e-8) == acyclic
 
     def test_rejects_nonfinite(self):
-        w = np.zeros((2, 2))
-        w[0, 1] = np.inf
-        with pytest.raises(ValueError):
-            acyclicity_h(w)
+        for bad in (np.inf, -np.inf, np.nan):
+            w = np.zeros((2, 2))
+            w[0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                acyclicity_h(w)
 
 
 class TestThresholding:
@@ -142,6 +151,64 @@ class TestNotearsLearn:
             # a penalty cap below the starting penalty cannot enforce acyclicity
             notears_learn(data, lambda1=1e-6, rho_max=1.0, h_tol=1e-300)
         assert err.value.h_final >= 0.0
+
+
+def textbook_objective(data, lambda1):
+    """The NOTEARS objective as first written: fresh arrays on every call."""
+    x = data.values.astype(np.float64)
+    x = x - x.mean(axis=0)
+    n, d = x.shape
+    gram = x.T @ x / n
+
+    def objective(vec, rho, alpha):
+        w = (vec[: d * d] - vec[d * d :]).reshape(d, d)
+        delta = w - np.eye(d)
+        loss = 0.5 * float(np.trace(delta.T @ gram @ delta))
+        g_loss = gram @ delta
+        e = scipy.linalg.expm(w * w)
+        h, g_h = float(np.trace(e) - d), e.T * (2.0 * w)
+        smooth = loss + 0.5 * rho * h * h + alpha * h
+        g_smooth = g_loss + (rho * h + alpha) * g_h
+        value = smooth + lambda1 * float(vec.sum())
+        grad = np.concatenate([(g_smooth + lambda1).ravel(), (-g_smooth + lambda1).ravel()])
+        return value, grad
+
+    return objective
+
+
+class TestObjectiveBitIdentity:
+    """The production objective must return the textbook floats bit for bit, so
+    L-BFGS-B walks the same path: same iterates, same evaluations, same W."""
+
+    @staticmethod
+    def fit(data, lambda1, objective=None):
+        """notears_learn's W bytes and DAG (or its failure) and each call's ``nfev``;
+        ``objective`` replaces the one notears_learn passes to L-BFGS-B."""
+        nfevs = []
+        minimize = scipy.optimize.minimize
+
+        def counted(fun, x0, **kwargs):
+            res = minimize(objective or fun, x0, **kwargs)
+            nfevs.append(res.nfev)
+            return res
+
+        with mock.patch.object(scipy.optimize, "minimize", counted):
+            try:
+                adj, dag = notears_learn(data, lambda1=lambda1)
+            except NotearsConvergenceError as err:
+                return (err.h_final, err.rho), nfevs
+        return (adj.w.tobytes(), dag), nfevs
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), n=st.integers(30, 400))
+    def test_same_w_and_evaluations_as_textbook_objective(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        data = sample(random_network(rng, d), n, seed=seed)
+        for lambda1 in (0.0, 0.02, 0.1):
+            outcome, nfevs = self.fit(data, lambda1)
+            outcome_ref, nfevs_ref = self.fit(data, lambda1, textbook_objective(data, lambda1))
+            assert outcome == outcome_ref
+            assert nfevs and nfevs == nfevs_ref
 
 
 class TestStabilitySelection:
