@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+from scipy.optimize._lbfgsb import setulb
 
 from .._coerce import check_ranges
 from ..bayesnet import Dag, cycle_edges
@@ -37,9 +37,14 @@ __all__ = [
 #: the allowed values of the parameters :func:`notears_learn` checks
 PARAM_RANGES = {"lambda1": (lambda v: v >= 0, "non-negative")}
 
+#: ``setulb``'s relative-reduction tolerance at scipy's default ``ftol``
+_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+
 
 class NotearsConvergenceError(RuntimeError):
-    """The augmented Lagrangian hit the penalty cap before h <= h_tol."""
+    """The augmented Lagrangian hit the penalty cap before h <= h_tol, or an
+    inner solve ended at a non-finite objective or h (then ``h_final`` is not
+    finite)."""
 
     def __init__(self, h_final: float, rho: float):
         super().__init__(f"failed to reach acyclicity tolerance: h={h_final:.3e} at rho={rho:.1e}")
@@ -83,6 +88,54 @@ def acyclicity_h(w: np.ndarray) -> tuple[float, np.ndarray]:
     return float(e.trace() - d), e.T * (2.0 * w)
 
 
+def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) through scipy's ``setulb`` kernel.
+
+    Runs the reverse-communication loop of ``scipy.optimize.minimize(...,
+    method="L-BFGS-B", jac=True)`` at its defaults, so ``setulb`` sees the same
+    x, f and g in the same order and every iterate is bit-identical; only the
+    per-call bound standardisation and per-evaluation wrapper checks are gone.
+    ``lower``/``upper`` are the bounds (inf where there is none) and ``nbd``
+    their ``setulb`` codes (1 lower only, 2 both; ``setulb`` reads an upper
+    bound only where it is 2).  Returns x, f, nfev, nit and status (0 converged,
+    1 iteration or evaluation cap, 2 abnormal line search).
+    """
+    m, maxls, pgtol, maxfun, n = 10, 20, 1e-5, 15000, x0.size
+    x = np.clip(x0, lower, upper)
+    seen = x.copy()
+    f_seen, g_seen = fun(seen, *args)
+    nfev, nit = 1, 0
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    while True:
+        g = np.array(g, dtype=np.float64)
+        setulb(
+            m, x, lower, upper, nbd, f, g, _FACTR, pgtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task
+        )
+        if task[0] == 3:  # evaluate f and g at x; a repeated x reuses the last pair
+            if not np.array_equal(x, seen):
+                seen = x.copy()
+                f_seen, g_seen = fun(seen, *args)
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
+    return x, f, nfev, nit, status
+
+
 def threshold_to_dag(adj: WeightedAdjacency, omega: float) -> tuple[Dag, float]:
     """Zero entries below ``omega``; raise it further if cycles survive.
 
@@ -117,7 +170,8 @@ def notears_learn(
     """Fit the weighted adjacency and threshold it into a DAG.
 
     Raises :class:`NotearsConvergenceError` (carrying the final h) when the
-    penalty cap is reached first; converged runs always satisfy h <= h_tol.
+    penalty cap is reached first or an inner solve ends non-finite; converged
+    runs always satisfy h <= h_tol.
     """
     check_ranges(PARAM_RANGES, {"lambda1": lambda1})
     if not data.is_complete:
@@ -155,35 +209,33 @@ def notears_learn(
         value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * float(vec.sum())
         np.add(g_smooth, lambda1, out=grad_pos)
         np.subtract(lambda1, g_smooth, out=grad_neg)
-        # scipy keeps the returned gradient (MemoizeJac), so hand out a copy
-        return value, grad.copy()
+        # _lbfgsb copies g before each setulb call, so the buffer can go out
+        return value, grad
 
-    is_diag = np.eye(d, dtype=bool).ravel()
-    bounds = [(0.0, 0.0) if flag else (0.0, None) for flag in np.tile(is_diag, 2)]
-    vec = np.zeros(2 * d * d)
+    # W+ and W- are non-negative, and their diagonals are pinned to 0
+    pinned = np.tile(np.eye(d, dtype=bool).ravel(), 2)
+    lower = np.zeros(2 * dd)
+    upper = np.where(pinned, 0.0, np.inf)
+    nbd = np.where(pinned, 2, 1).astype(np.int32)
+    vec = np.zeros(2 * dd)
     rho, alpha, h_val = 1.0, 0.0, np.inf
     for _ in range(max_outer):
         while True:
-            res = scipy.optimize.minimize(
-                objective,
-                vec,
-                args=(rho, alpha),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": lbfgs_maxiter},
-            )
-            h_new, _ = acyclicity_h(unpack(res.x))
+            x, f, *_ = _lbfgsb(objective, vec, (rho, alpha), lower, upper, nbd, lbfgs_maxiter)
+            h_new = acyclicity_h(unpack(x))[0] if np.isfinite(f) else np.nan
+            # every test below is False for NaN, so a non-finite solve stops here
+            if not np.isfinite(h_new):
+                raise NotearsConvergenceError(h_new, rho)
             if h_new > progress_rate * h_val and rho < rho_max:
                 rho *= 10.0
             else:
                 break
-        vec = res.x
+        vec = x
         h_val = h_new
         alpha += rho * h_val
         if h_val <= h_tol or rho >= rho_max:
             break
-    if h_val > h_tol:
+    if not h_val <= h_tol:
         raise NotearsConvergenceError(h_val, rho)
     w = unpack(vec)
     w[diag_idx, diag_idx] = 0.0

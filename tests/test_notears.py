@@ -15,6 +15,7 @@ from causalchron.discovery import (
     WeightedAdjacency,
     acyclicity_h,
     default_lambda_grid,
+    notears,
     notears_learn,
     stability_select,
     threshold_to_dag,
@@ -182,17 +183,17 @@ class TestObjectiveBitIdentity:
 
     @staticmethod
     def fit(data, lambda1, objective=None):
-        """notears_learn's W bytes and DAG (or its failure) and each call's ``nfev``;
-        ``objective`` replaces the one notears_learn passes to L-BFGS-B."""
+        """notears_learn's W bytes and DAG (or its failure) and each inner solve's
+        ``nfev``; ``objective`` replaces the one notears_learn passes to L-BFGS-B."""
         nfevs = []
-        minimize = scipy.optimize.minimize
+        driver = notears._lbfgsb
 
-        def counted(fun, x0, **kwargs):
-            res = minimize(objective or fun, x0, **kwargs)
-            nfevs.append(res.nfev)
+        def counted(fun, x0, args, *bounds_and_cap):
+            res = driver(objective or fun, x0, args, *bounds_and_cap)
+            nfevs.append(res[2])
             return res
 
-        with mock.patch.object(scipy.optimize, "minimize", counted):
+        with mock.patch.object(notears, "_lbfgsb", counted):
             try:
                 adj, dag = notears_learn(data, lambda1=lambda1)
             except NotearsConvergenceError as err:
@@ -209,6 +210,103 @@ class TestObjectiveBitIdentity:
             outcome_ref, nfevs_ref = self.fit(data, lambda1, textbook_objective(data, lambda1))
             assert outcome == outcome_ref
             assert nfevs and nfevs == nfevs_ref
+
+
+class TestLbfgsbDriver:
+    """The L-BFGS-B driver must walk the path of ``scipy.optimize.minimize``
+    bit for bit on every inner solve of a fit; this breaks first if a scipy
+    release changes the ``setulb`` kernel or the loop around it."""
+
+    @staticmethod
+    def inner_statuses(data, lambda1, maxiter):
+        """Fit with every inner solve checked against scipy; their statuses."""
+        d = data.n_cols
+        is_diag = np.eye(d, dtype=bool).ravel()
+        bounds = [(0.0, 0.0) if flag else (0.0, None) for flag in np.tile(is_diag, 2)]
+        driver = notears._lbfgsb
+        statuses = []
+
+        def compared(fun, x0, args, *bounds_and_cap):
+            x, f, nfev, nit, status = driver(fun, x0, args, *bounds_and_cap)
+            res = scipy.optimize.minimize(
+                fun,
+                x0,
+                args=args,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"maxiter": maxiter},
+            )
+            assert x.tobytes() == res.x.tobytes()
+            assert np.float64(f).tobytes() == np.float64(res.fun).tobytes()
+            assert (nfev, nit, status) == (res.nfev, res.nit, res.status)
+            statuses.append(status)
+            return x, f, nfev, nit, status
+
+        with mock.patch.object(notears, "_lbfgsb", compared):
+            try:
+                notears_learn(data, lambda1=lambda1, lbfgs_maxiter=maxiter)
+            except NotearsConvergenceError:
+                pass
+        return statuses
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        n=st.integers(30, 2000),
+        lambda1=st.sampled_from([0.0, 1e-3, 0.02, 0.1, 0.5]),
+        maxiter=st.sampled_from([2, 1000]),
+    )
+    def test_same_path_as_scipy_minimize(self, seed, d, n, lambda1, maxiter):
+        data = sample(random_network(np.random.default_rng(seed), d), n, seed=seed)
+        assert self.inner_statuses(data, lambda1, maxiter)
+
+    def test_same_stop_as_scipy_at_the_iteration_cap(self):
+        data = sample(preset_network("chain-4"), 300, seed=5)
+        assert 1 in self.inner_statuses(data, 0.02, maxiter=2)
+
+
+def nan_solve(fun, x0, *rest):
+    """An inner solve that ends at a NaN objective."""
+    return x0, np.nan, 1, 0, 2
+
+
+def overflow_solve(fun, x0, *rest):
+    """An inner solve that ends at W[0, 1] = W[1, 0] = 30 (d = 3), where
+    exp(W o W) overflows, so h is not finite."""
+    x = np.zeros_like(x0)
+    x[[1, 3]] = 30.0
+    return x, 0.0, 1, 1, 0
+
+
+class TestNonFiniteSolve:
+    """Every comparison with NaN is False, so a non-finite inner solve must
+    fail the fit rather than slip past the convergence tests."""
+
+    def test_nonfinite_objective_fails_the_fit(self):
+        data = sample(preset_network("chain-3"), 200, seed=0)
+        with mock.patch.object(notears, "_lbfgsb", side_effect=nan_solve) as solve:
+            with pytest.raises(NotearsConvergenceError) as err:
+                notears_learn(data)
+        assert math.isnan(err.value.h_final)
+        assert solve.call_count == 1  # no NaN reached alpha or a further solve
+
+    def test_nonfinite_h_fails_the_fit(self):
+        data = sample(preset_network("chain-3"), 200, seed=0)
+        with mock.patch.object(notears, "_lbfgsb", side_effect=overflow_solve) as solve:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NotearsConvergenceError) as err:
+                    notears_learn(data)
+        assert not math.isfinite(err.value.h_final)
+        assert solve.call_count == 1
+
+    def test_stability_counts_nonfinite_solves_as_failures(self):
+        data = sample(preset_network("chain-3"), 200, seed=0)
+        with mock.patch.object(notears, "_lbfgsb", nan_solve):
+            report = stability_select(data, lambda_grid=(0.05, 0.1), n_resamples=2, seed=0)
+        assert report.failures == 4
+        assert report.stable_edges == frozenset()
 
 
 class TestStabilitySelection:
@@ -298,3 +396,10 @@ class TestStabilitySelection:
         b = stability_select(data, **kwargs)
         assert a.stable_edges == b.stable_edges
         assert a.edge_frequencies == b.edge_frequencies
+
+    def test_thread_pool_gives_the_serial_report(self):
+        data = sample(preset_network("chain-4"), 600, seed=9)
+        kwargs = dict(lambda_grid=default_lambda_grid(1e-2, 0.5, 3), n_resamples=4, seed=2)
+        serial = stability_select(data, **kwargs)
+        pooled = stability_select(data, n_jobs=2, **kwargs)
+        assert pooled == serial
