@@ -24,7 +24,6 @@ from .bayesnet import (
     topological_levels,
 )
 from .causal import (
-    CausalQuery,
     CausalRelationTable,
     EffectEstimate,
     RefutationResult,

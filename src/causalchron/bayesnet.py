@@ -126,9 +126,6 @@ class Dag:
     def children(self, node: str) -> tuple[str, ...]:
         return self._children[node]
 
-    def roots(self) -> tuple[str, ...]:
-        return tuple(n for n in self.nodes if not self._parents[n])
-
     def isolated(self) -> tuple[str, ...]:
         return tuple(n for n in self.nodes if not self._parents[n] and not self._children[n])
 
@@ -610,11 +607,7 @@ def sample(bn: DiscreteBayesNet, n: int, seed: int) -> EventMatrix:
     col_of = {c: i for i, c in enumerate(columns)}
     for node in bn.dag.topological_order():
         cpt = bn.cpt(node)
-        if cpt.parents:
-            idx = assignment_index(values, [col_of[p] for p in cpt.parents])
-            p1 = cpt.p1[idx]
-        else:
-            p1 = np.full(n, cpt.p1[0])
+        p1 = cpt.p1[assignment_index(values, [col_of[p] for p in cpt.parents])]
         values[:, col_of[node]] = (rng.random(n) < p1).astype(np.int8)
     return EventMatrix(columns, values, provenance=f"sampled(seed={seed})")
 

@@ -26,14 +26,13 @@ from .bayesnet import (
     _cpt_from_counts,
     _require_fittable,
     d_separated,
-    fit_cpts,
+    fit_cpts,  # noqa: F401  unused here; perfbench/tracer.py patches causal.fit_cpts by name
     marginal,
     query,
 )
 from .dataset import EventMatrix, assignment_index
 
 __all__ = [
-    "CausalQuery",
     "EffectEstimate",
     "RefutationResult",
     "CausalRelationTable",
@@ -62,21 +61,6 @@ SUBSET_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
-class CausalQuery:
-    treatment: str
-    outcome: str
-    dag: Dag
-
-    def __post_init__(self) -> None:
-        if self.treatment == self.outcome:
-            raise ValueError("treatment and outcome must differ")
-        if (self.treatment, self.outcome) not in self.dag.edges:
-            raise ValueError(
-                f"no edge {self.treatment!r} -> {self.outcome!r}; queries are generated per discovered edge"
-            )
-
-
-@dataclass(frozen=True)
 class RefutationResult:
     kind: str
     refuted_value: float
@@ -92,7 +76,6 @@ class EffectEstimate:
     value: float
     adjustment_set: frozenset[str]
     mediators: frozenset[str]
-    refutations: tuple[RefutationResult, ...] = ()
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.value <= 1.0:
@@ -101,12 +84,6 @@ class EffectEstimate:
             raise ValueError("NDE estimates need a nonempty mediator set")
         if self.estimand_kind == "ACE" and self.mediators:
             raise ValueError("ACE estimates carry no mediators")
-
-    def refutation(self, kind: str) -> RefutationResult | None:
-        for r in self.refutations:
-            if r.kind == kind:
-                return r
-        return None
 
 
 def backdoor_set(g: Dag, x: str, y: str) -> frozenset[str]:
@@ -219,21 +196,14 @@ def _nde_reader(dag: Dag, x: str, y: str, meds: frozenset[str], z: frozenset[str
     return (x, *z_sorted, *m_sorted, y), read
 
 
-def _nde_value(
-    bn: DiscreteBayesNet, x: str, y: str, meds: frozenset[str], z: frozenset[str]
-) -> float:
-    order, read = _nde_reader(bn.dag, x, y, meds, z)
-    return read(bn.marginal(order))
-
-
 def nde(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
     """Natural direct effect: the part of the effect not routed via mediators."""
     meds = mediators(bn.dag, x, y)
     if not meds:
         raise ValueError(f"no mediators between {x!r} and {y!r}: use ace()")
     z = backdoor_set(bn.dag, x, y)
-    value = _nde_value(bn, x, y, meds, z)
-    return EffectEstimate(x, y, "NDE", value, z, meds)
+    order, read = _nde_reader(bn.dag, x, y, meds, z)
+    return EffectEstimate(x, y, "NDE", read(bn.marginal(order)), z, meds)
 
 
 def _estimate_edge(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
@@ -380,13 +350,14 @@ def _refit_plan(
     return (sub, *_ace_reader(dag, x, y, z))
 
 
-def _subset_tables(
+def _refit_tables(
     sub: Dag, values: np.ndarray, rows: np.ndarray, ess: float
 ) -> dict[str, np.ndarray]:
     """The table P(node | parents) of every node of ``sub``, refitted on each row set of ``rows``.
 
     ``values`` holds the columns of ``sub.nodes`` in that order and
-    ``rows`` one row set per draw, shape (D, size).  Each row is keyed once
+    ``rows`` one row set per draw, shape (D, size); a single draw of all
+    rows, ``np.arange(n)[None]``, is a plain refit.  Each row is keyed once
     by the index of its distinct pattern over these columns, every draw is
     counted in one bincount over (draw, pattern), and each node's
     (parents, node) counts are summed from those pattern counts, so memory
@@ -397,10 +368,10 @@ def _subset_tables(
     key = np.zeros(len(values), dtype=np.int64)
     for start in range(0, values.shape[1], 32):
         cols = range(start, min(start + 32, values.shape[1]))
-        _, first, key = np.unique(
-            (key << len(cols)) | assignment_index(values, cols), return_index=True, return_inverse=True
-        )
-    patterns = values[first]
+        key = np.unique((key << len(cols)) | assignment_index(values, cols), return_inverse=True)[1]
+    last = np.empty(key.max() + 1, dtype=np.intp)
+    last[key] = np.arange(len(key))  # the last row of each pattern
+    patterns = values[last]
     n_draws, n_patterns = len(rows), len(patterns)
     draw = np.arange(n_draws)[:, None]
     pattern_counts = np.bincount((draw * n_patterns + key[rows]).ravel(), minlength=n_draws * n_patterns)
@@ -431,56 +402,43 @@ def refute(
     random_common_cause: an unrelated coin column added as a parent of both
     treatment and outcome must leave the estimate unchanged.
 
-    A refit fits only the CPTs the estimand reads, those of the ancestral
-    closure of the treatment and the outcome, and reads the estimate off
-    one exact table of the estimand's nodes.  The subset refutation draws
-    its row sets up front and refits all of them at once: one count over
-    (draw, row pattern) of the sub-DAG's columns gives every node's counts
-    in every draw, the ESS formula runs once on the stacked counts, and
-    one elimination with a leading draw axis gives one table per draw.
-    The result is the same as refitting the whole network per draw.
+    Each kind only builds its perturbation: the matrix, the DAG and the
+    row sets to refit on (one draw of all rows, or the subset draws).  All
+    kinds share one refit: the CPTs of the ancestral closure of treatment
+    and outcome are counted for every draw at once (:func:`_refit_tables`),
+    one elimination with a leading draw axis gives the estimand's table per
+    draw, and the refuted value is the mean estimate over the draws.  The
+    result is the same as refitting the whole network per draw.
     """
     x, y = estimate.treatment, estimate.outcome
     rng = np.random.default_rng(spawn_seed(seed, "refute", kind, x, y))
+    dag, all_rows = bn.dag, np.arange(data.n_rows)[None]
 
     if kind == "placebo":
-        sub, order, read = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
         values = data.values.copy()
         xi = data.column_index(x)
         p_x = float((values[:, xi] == 1).mean())
         values[:, xi] = (rng.random(data.n_rows) < p_x).astype(np.int8)
-        refuted = read(fit_cpts(sub, data.replace_values(values), ess=ess).marginal(order))
-        return RefutationResult(kind, refuted, abs(refuted) <= ABS_TOLERANCE, ABS_TOLERANCE)
-
-    if kind == "subset":
-        sub, order, read = _refit_plan(bn.dag, x, y, estimate.estimand_kind)
-        _require_fittable(data.values, ess)
+        data, rows, center, tol = data.replace_values(values), all_rows, 0.0, ABS_TOLERANCE
+    elif kind == "subset":
         size = int(np.ceil(SUBSET_FRACTION * data.n_rows))
-        rows = np.stack(
-            [rng.choice(data.n_rows, size=size, replace=False) for _ in range(SUBSET_DRAWS)]
-        )
-        values = data.values[:, [data.column_index(n) for n in sub.nodes]]
-        t = marginal(sub, _subset_tables(sub, values, rows, ess), order, draws=True)
-        mean = float(np.mean([read(t[d]) for d in range(SUBSET_DRAWS)]))
-        tol = SUBSET_REL_TOLERANCE * abs(estimate.value) + SUBSET_ABS_TOLERANCE
-        return RefutationResult(kind, mean, abs(mean - estimate.value) <= tol, tol)
-
-    if kind == "random_common_cause":
+        rows = np.stack([rng.choice(data.n_rows, size=size, replace=False) for _ in range(SUBSET_DRAWS)])
+        center, tol = estimate.value, SUBSET_REL_TOLERANCE * abs(estimate.value) + SUBSET_ABS_TOLERANCE
+    elif kind == "random_common_cause":
         label = "__random_common_cause__"
         coin = (rng.random(data.n_rows) < 0.5).astype(np.int8)
-        extended = EventMatrix(
-            data.columns + (label,),
-            np.column_stack([data.values, coin]),
-            provenance=data.provenance,
-        )
-        dag = Dag(extended.columns, set(bn.dag.edges) | {(label, x), (label, y)})
-        sub, order, read = _refit_plan(dag, x, y, estimate.estimand_kind)
-        refuted = read(fit_cpts(sub, extended, ess=ess).marginal(order))
-        return RefutationResult(
-            kind, refuted, abs(refuted - estimate.value) <= ABS_TOLERANCE, ABS_TOLERANCE
-        )
+        data = EventMatrix(data.columns + (label,), np.column_stack([data.values, coin]), data.provenance)
+        dag = Dag(data.columns, set(dag.edges) | {(label, x), (label, y)})
+        rows, center, tol = all_rows, estimate.value, ABS_TOLERANCE
+    else:
+        raise ValueError(f"unknown refutation kind {kind!r}; expected one of {REFUTATION_KINDS}")
 
-    raise ValueError(f"unknown refutation kind {kind!r}; expected one of {REFUTATION_KINDS}")
+    _require_fittable(data.values, ess)
+    sub, order, read = _refit_plan(dag, x, y, estimate.estimand_kind)
+    values = data.values[:, [data.column_index(n) for n in sub.nodes]]
+    t = marginal(sub, _refit_tables(sub, values, rows, ess), order, draws=True)
+    refuted = float(np.mean([read(t[d]) for d in range(len(rows))]))
+    return RefutationResult(kind, refuted, abs(refuted - center) <= tol, tol)
 
 
 def effects_for_dag(

@@ -247,11 +247,7 @@ def _e_step_pass(
         if rows.size == 0:
             continue
         cpt = bn.cpt(node)
-        if cpt.parents:
-            idx = assignment_index(values[rows], [col_of[p] for p in cpt.parents])
-            p1 = cpt.p1[idx]
-        else:
-            p1 = np.full(rows.size, cpt.p1[0])
+        p1 = cpt.p1[assignment_index(values[rows], [col_of[p] for p in cpt.parents])]
         out[rows, j] = np.where(p1 > 0.5, 1, np.where(p1 < 0.5, 0, modes[j])).astype(np.int8)
     return out
 

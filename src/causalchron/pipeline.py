@@ -305,7 +305,13 @@ class PipelineConfig:
         unknown = set(self.algorithms) - set(LEARNER_NAMES)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        # model names key the scores and the artifact files (dag.<name>.edges, falsify.<name>.json)
+        names = [name for name, _ in self.reference_models]
+        models = [*self.algorithms, *names]
         for key, ok, rule in (
+            ("algorithms", len(set(self.algorithms)) == len(self.algorithms), "must not repeat a name"),
+            ("reference_models", len(set(models)) == len(models), "names must not repeat or equal an algorithm"),
+            ("reference_models", all(n and "/" not in n for n in names), "names must be non-empty without '/'"),
             ("impute_learner", self.impute_learner in LEARNER_NAMES, f"must be one of {LEARNER_NAMES}"),
             ("ess", self.ess >= 0, "must be non-negative"),
             ("impute_method", self.impute_method in INITIAL_FILLS, f"must be one of {tuple(INITIAL_FILLS)}"),

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, sample
-from causalchron.causal import _nde_value, ace, ace_surgery, backdoor_set
+from causalchron.causal import _nde_reader, ace, ace_surgery, backdoor_set
 from causalchron.chronology import (
     build_chronology,
     compare_models,
@@ -78,7 +78,8 @@ def test_criterion_03_ace_oracle_equivalence():
             surgical = ace_surgery(bn, p, c)
             assert abs(adjusted - surgical) <= 1e-10
             z = backdoor_set(bn.dag, p, c)
-            formula = _nde_value(bn, p, c, frozenset(), z)
+            order, read = _nde_reader(bn.dag, p, c, frozenset(), z)
+            formula = read(bn.marginal(order))
             assert abs(formula - adjusted) <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -248,6 +248,11 @@ class TestPipelineCommand:
             ({"learner_params": {"notears-stability": {"lambda_grid": [0.5, 0.1]}}}, "lambda_grid"),
             ({"learner_params": {"notears-stability": {"n_resamples": 0}}}, "n_resamples"),
             ({"learner_params": {"notears": {"lambda1": -1}}}, "lambda1"),
+            ({"algorithms": ["hc", "hc"]}, "algorithms"),
+            ({"reference_models": [["hc", "ref.edges"]]}, "reference_models"),
+            ({"reference_models": [["ref", "a.edges"], ["ref", "b.edges"]]}, "reference_models"),
+            ({"reference_models": [["", "ref.edges"]]}, "reference_models"),
+            ({"reference_models": [["a/b", "ref.edges"]]}, "reference_models"),
         ],
     )
     def test_bad_config_exit_1_before_any_artifact(self, tmp_path, capsys, setting, key):

@@ -164,6 +164,16 @@ class TestRunPipeline:
             PipelineConfig()
         with pytest.raises(ValueError, match="unknown algorithms"):
             PipelineConfig(scenario=SMALL_SCENARIO, algorithms=("ges",))
+        # model names key the scores and the artifact files, so they must be distinct paths
+        for key, kwargs in [
+            ("algorithms", {"algorithms": ("hc", "hc")}),
+            ("reference_models", {"algorithms": ("hc",), "reference_models": (("hc", "ref.edges"),)}),
+            ("reference_models", {"reference_models": (("ref", "a.edges"), ("ref", "b.edges"))}),
+            ("reference_models", {"reference_models": (("", "ref.edges"),)}),
+            ("reference_models", {"reference_models": (("a/b", "ref.edges"),)}),
+        ]:
+            with pytest.raises(ValueError, match=f"^{key} "):
+                PipelineConfig(scenario=SMALL_SCENARIO, **kwargs)
         # learner values out of range fail when the config is built, not in the discover stage
         for learner, key, value in [
             ("notears-stability", "subsample_frac", 1.5),
