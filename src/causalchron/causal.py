@@ -409,7 +409,12 @@ def refute(
     one elimination with a leading draw axis gives the estimand's table per
     draw, and the refuted value is the mean estimate over the draws.  The
     result is the same as refitting the whole network per draw.
+
+    Every kind raises ``KeyError`` naming the first node of the DAG that
+    ``data`` lacks, before it builds its perturbation.
     """
+    for node in bn.dag.nodes:
+        data.column_index(node)
     x, y = estimate.treatment, estimate.outcome
     rng = np.random.default_rng(spawn_seed(seed, "refute", kind, x, y))
     dag, all_rows = bn.dag, np.arange(data.n_rows)[None]

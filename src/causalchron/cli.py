@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", dest="output_dir", help="override the output directory")
     p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--jobs", type=int, help="worker cap for parallel stages")
+    p.add_argument("--jobs", type=int, help="accepted for old scripts; has no effect")
 
     return parser
 

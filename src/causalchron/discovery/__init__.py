@@ -53,7 +53,7 @@ _LEARNERS = {
     "notears": (notears_learn, ("lambda1", "omega", "standardize"), itemgetter(1), notears.PARAM_RANGES),
     "notears-stability": (
         stability_select,
-        ("lambda_grid", "n_resamples", "subsample_frac", "freq_threshold", "window", "omega", "standardize", "n_jobs"),
+        ("lambda_grid", "n_resamples", "subsample_frac", "freq_threshold", "window", "omega", "standardize"),
         attrgetter("dag"),
         stability.PARAM_RANGES,
     ),

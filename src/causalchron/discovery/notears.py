@@ -8,6 +8,12 @@ rho grows tenfold whenever h fails to shrink by a factor of four.  The
 data matrix only enters through its Gram matrix, so inner iterations cost
 O(d^3) regardless of sample size.
 
+The augmented Lagrangian and the L-BFGS-B loop are generators that yield
+the points they need evaluated.  :func:`notears_learn` runs one problem to
+the end; :func:`notears_lockstep` advances many problems (the cells of a
+stability-selection grid) together and evaluates the objectives of all of
+them in one stacked call per round.  Both take the same path per problem.
+
 Columns are centered but deliberately not rescaled by default: the method
 is not invariant to variable rescaling, so changing the scale changes the
 answer.  A ``standardize`` flag exposes the alternative.
@@ -16,6 +22,7 @@ answer.  A ``standardize`` flag exposes the alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +37,8 @@ __all__ = [
     "NotearsConvergenceError",
     "acyclicity_h",
     "notears_learn",
+    "notears_lockstep",
+    "gram_matrix",
     "threshold_to_dag",
 ]
 
@@ -74,22 +83,61 @@ class WeightedAdjacency:
         object.__setattr__(self, "w", w)
 
 
-def acyclicity_h(w: np.ndarray) -> tuple[float, np.ndarray]:
+def acyclicity_h(w: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Smooth acyclicity measure and its gradient.
 
     h(W) = tr(exp(W o W)) - d is zero exactly when the nonzero pattern of W
     is acyclic, and positive otherwise; the gradient is exp(W o W)^T o 2W.
+    A stack of matrices (K, d, d) takes one ``expm`` call and gives h as a
+    (K,) array, each slice bit-identical to its own call.
     """
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise ValueError("W must be finite")
-    d = w.shape[0]
     e = scipy.linalg.expm(w * w)
-    return float(e.trace() - d), e.T * (2.0 * w)
+    h = e.trace(axis1=-2, axis2=-1) - w.shape[-1]
+    return (float(h) if w.ndim == 2 else h), e.swapaxes(-1, -2) * (2.0 * w)
 
 
-def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
-    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) through scipy's ``setulb`` kernel.
+def _unpack(vec: np.ndarray, d: int) -> np.ndarray:
+    """W = W+ - W- from the solver's vector [W+, W-]."""
+    return (vec[: d * d] - vec[d * d :]).reshape(d, d)
+
+
+def _objective(gram, lambda1, vec, rho, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented-Lagrangian objective and its gradient in [W+, W-].
+
+    One problem takes ``gram`` (d, d), ``vec`` (2 d^2,) and scalar
+    ``lambda1``, ``rho``, ``alpha``; a stack of K problems takes (K, d, d),
+    (K, 2 d^2) and (K,) arrays, and costs one matmul chain and one ``expm``
+    call.  Every slice of a stack returns the floats of its own one-problem
+    call, and those are bit-identical to the textbook form kept in
+    tests/test_notears.py, so L-BFGS-B takes the same path either way:
+    negation is exact and IEEE addition commutes, hence
+    lambda1 - g == -g + lambda1.
+    """
+    d = gram.shape[-1]
+    stack = vec.shape[:-1]
+    w = (vec[..., : d * d] - vec[..., d * d :]).reshape(*stack, d, d)
+    delta = w - np.eye(d)
+    loss = 0.5 * (delta.swapaxes(-1, -2) @ gram @ delta).trace(axis1=-2, axis2=-1)
+    h, g_smooth = acyclicity_h(w)
+    g_smooth *= np.asarray(rho * h + alpha)[..., None, None]
+    g_smooth += gram @ delta
+    value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * vec.sum(axis=-1)
+    lam = np.asarray(lambda1)[..., None, None]
+    grad = np.empty(vec.shape)
+    halves = grad.reshape(*stack, 2, d, d)
+    np.add(g_smooth, lam, out=halves[..., 0, :, :])
+    np.subtract(lam, g_smooth, out=halves[..., 1, :, :])
+    return value, grad
+
+
+def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) through scipy's ``setulb`` kernel,
+    as a generator: it yields each point to evaluate as ``(x, *args)``, takes
+    the objective's ``(f, g)`` back, and returns x, f, nfev, nit and status
+    (0 converged, 1 iteration or evaluation cap, 2 abnormal line search).
 
     Runs the reverse-communication loop of ``scipy.optimize.minimize(...,
     method="L-BFGS-B", jac=True)`` at its defaults, so ``setulb`` sees the same
@@ -97,13 +145,12 @@ def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
     per-call bound standardisation and per-evaluation wrapper checks are gone.
     ``lower``/``upper`` are the bounds (inf where there is none) and ``nbd``
     their ``setulb`` codes (1 lower only, 2 both; ``setulb`` reads an upper
-    bound only where it is 2).  Returns x, f, nfev, nit and status (0 converged,
-    1 iteration or evaluation cap, 2 abnormal line search).
+    bound only where it is 2).  A repeated x reuses the last pair unasked.
     """
     m, maxls, pgtol, maxfun, n = 10, 20, 1e-5, 15000, x0.size
     x = np.clip(x0, lower, upper)
     seen = x.copy()
-    f_seen, g_seen = fun(seen, *args)
+    f_seen, g_seen = yield (seen, *args)
     nfev, nit = 1, 0
     f, g = 0.0, np.zeros(n)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
@@ -118,10 +165,10 @@ def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
         setulb(
             m, x, lower, upper, nbd, f, g, _FACTR, pgtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task
         )
-        if task[0] == 3:  # evaluate f and g at x; a repeated x reuses the last pair
-            if not np.array_equal(x, seen):
+        if task[0] == 3:  # evaluate f and g at x
+            if not (x == seen).all():  # np.array_equal for two arrays of one shape
                 seen = x.copy()
-                f_seen, g_seen = fun(seen, *args)
+                f_seen, g_seen = yield (seen, *args)
                 nfev += 1
             f, g = f_seen, g_seen
         elif task[0] == 1:  # a new iterate
@@ -134,6 +181,93 @@ def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
     return x, f, nfev, nit, status
+
+
+def _run(steps, answer):
+    """Run a generator to its return value, sending ``answer(*request)`` back
+    for every request it yields."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(answer(*request))
+    except StopIteration as done:
+        return done.value
+
+
+def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
+    """L-BFGS-B on ``fun(x, *args) -> (f, g)`` from ``x0``, run to the end
+    (see :func:`_lbfgsb_steps`); returns x, f, nfev, nit and status."""
+    return _run(_lbfgsb_steps(x0, args, lower, upper, nbd, maxiter), fun)
+
+
+def _augmented_lagrangian(d, max_outer, h_tol, rho_max, progress_rate, lbfgs_maxiter):
+    """The outer loop of Zheng et al. (NeurIPS 2018), as a generator.
+
+    Yields each inner problem as the arguments of :func:`_lbfgsb_steps`,
+    ``(x0, (rho, alpha), lower, upper, nbd, lbfgs_maxiter)``, takes the
+    solve's result back and returns the final [W+, W-].  The dual variable
+    is updated as alpha += rho * h, and rho grows tenfold whenever h fails
+    to shrink by ``progress_rate``.  Raises :class:`NotearsConvergenceError`
+    when the penalty cap is reached first or a solve ends non-finite.
+    """
+    # W+ and W- are non-negative, and their diagonals are pinned to 0
+    pinned = np.tile(np.eye(d, dtype=bool).ravel(), 2)
+    lower = np.zeros(2 * d * d)
+    upper = np.where(pinned, 0.0, np.inf)
+    nbd = np.where(pinned, 2, 1).astype(np.int32)
+    vec = np.zeros(2 * d * d)
+    rho, alpha, h_val = 1.0, 0.0, np.inf
+    for _ in range(max_outer):
+        while True:
+            x, f, *_ = yield vec, (rho, alpha), lower, upper, nbd, lbfgs_maxiter
+            h_new = acyclicity_h(_unpack(x, d))[0] if np.isfinite(f) else np.nan
+            # every test below is False for NaN, so a non-finite solve stops here
+            if not np.isfinite(h_new):
+                raise NotearsConvergenceError(h_new, rho)
+            if h_new > progress_rate * h_val and rho < rho_max:
+                rho *= 10.0
+            else:
+                break
+        vec = x
+        h_val = h_new
+        alpha += rho * h_val
+        if h_val <= h_tol or rho >= rho_max:
+            break
+    if not h_val <= h_tol:
+        raise NotearsConvergenceError(h_val, rho)
+    return vec
+
+
+def _resumable(problems):
+    """A fit as one stream of evaluation requests ``(x, rho, alpha)``: each
+    inner problem of the augmented Lagrangian ``problems`` is solved by the
+    resumable L-BFGS-B.  Returns what ``problems`` returns."""
+    try:
+        problem = next(problems)
+        while True:
+            problem = problems.send((yield from _lbfgsb_steps(*problem)))
+    except StopIteration as done:
+        return done.value
+
+
+def gram_matrix(values: np.ndarray, standardize: bool) -> np.ndarray:
+    """X^T X / n of the centred (and with ``standardize`` unit-variance)
+    columns of a complete matrix: all that NOTEARS reads of the data."""
+    x = values.astype(np.float64)
+    x = x - x.mean(axis=0)
+    if standardize:
+        sd = x.std(axis=0)
+        x = x / np.where(sd > 0, sd, 1.0)
+    return x.T @ x / len(x)
+
+
+def _adjacency(labels, vec, omega) -> tuple[WeightedAdjacency, Dag]:
+    """The fitted W (diagonal zeroed) and its thresholded DAG."""
+    w = _unpack(vec, len(labels))
+    np.fill_diagonal(w, 0.0)
+    adj = WeightedAdjacency(labels, w)
+    dag, _ = threshold_to_dag(adj, omega)
+    return adj, dag
 
 
 def threshold_to_dag(adj: WeightedAdjacency, omega: float) -> tuple[Dag, float]:
@@ -161,6 +295,7 @@ def notears_learn(
     lambda1: float = 0.1,
     omega: float = 0.3,
     standardize: bool = False,
+    *,
     max_outer: int = 100,
     h_tol: float = 1e-8,
     rho_max: float = 1e16,
@@ -169,76 +304,55 @@ def notears_learn(
 ) -> tuple[WeightedAdjacency, Dag]:
     """Fit the weighted adjacency and threshold it into a DAG.
 
-    Raises :class:`NotearsConvergenceError` (carrying the final h) when the
-    penalty cap is reached first or an inner solve ends non-finite; converged
-    runs always satisfy h <= h_tol.
+    Each inner problem is solved to the end by :func:`_lbfgsb`.  Raises
+    :class:`NotearsConvergenceError` (carrying the final h) when the penalty
+    cap is reached first or an inner solve ends non-finite; converged runs
+    always satisfy h <= h_tol.
     """
     check_ranges(PARAM_RANGES, {"lambda1": lambda1})
     if not data.is_complete:
         raise ValueError("notears requires complete data")
-    x = data.values.astype(np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("data must be finite")
-    x = x - x.mean(axis=0)
-    if standardize:
-        sd = x.std(axis=0)
-        x = x / np.where(sd > 0, sd, 1.0)
-    n, d = x.shape
-    gram = x.T @ x / n
-    diag_idx = np.arange(d)
-    dd = d * d
-    eye = np.eye(d)
-    # one gradient buffer, filled through views of its W+ and W- halves
-    grad = np.empty(2 * dd)
-    grad_pos = grad[:dd].reshape(d, d)
-    grad_neg = grad[dd:].reshape(d, d)
+    gram = gram_matrix(data.values, standardize)
+    objective = partial(_objective, gram, lambda1)
+    problems = _augmented_lagrangian(data.n_cols, max_outer, h_tol, rho_max, progress_rate, lbfgs_maxiter)
+    vec = _run(problems, lambda *problem: _lbfgsb(objective, *problem))
+    return _adjacency(data.columns, vec, omega)
 
-    def unpack(vec: np.ndarray) -> np.ndarray:
-        return (vec[:dd] - vec[dd:]).reshape(d, d)
 
-    # Every float below is bit-identical to the textbook form kept in
-    # tests/test_notears.py, so L-BFGS-B takes the same path: negation is
-    # exact and IEEE addition commutes, hence lambda1 - g == -g + lambda1.
-    def objective(vec: np.ndarray, rho: float, alpha: float) -> tuple[float, np.ndarray]:
-        w = unpack(vec)
-        delta = w - eye
-        loss = 0.5 * float((delta.T @ gram @ delta).trace())
-        h, g_smooth = acyclicity_h(w)
-        g_smooth *= rho * h + alpha
-        g_smooth += gram @ delta
-        value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * float(vec.sum())
-        np.add(g_smooth, lambda1, out=grad_pos)
-        np.subtract(lambda1, g_smooth, out=grad_neg)
-        # _lbfgsb copies g before each setulb call, so the buffer can go out
-        return value, grad
+def notears_lockstep(
+    labels: tuple[str, ...], grams: np.ndarray, lambdas: np.ndarray, omega: float
+) -> list[tuple[WeightedAdjacency, Dag] | None]:
+    """:func:`notears_learn` at its default solver settings on K problems at
+    once, one per Gram matrix (``grams`` (K, d, d), from :func:`gram_matrix`) and
+    ``lambdas`` entry; None marks a cell whose fit failed.
 
-    # W+ and W- are non-negative, and their diagonals are pinned to 0
-    pinned = np.tile(np.eye(d, dtype=bool).ravel(), 2)
-    lower = np.zeros(2 * dd)
-    upper = np.where(pinned, 0.0, np.inf)
-    nbd = np.where(pinned, 2, 1).astype(np.int32)
-    vec = np.zeros(2 * dd)
-    rho, alpha, h_val = 1.0, 0.0, np.inf
-    for _ in range(max_outer):
-        while True:
-            x, f, *_ = _lbfgsb(objective, vec, (rho, alpha), lower, upper, nbd, lbfgs_maxiter)
-            h_new = acyclicity_h(unpack(x))[0] if np.isfinite(f) else np.nan
-            # every test below is False for NaN, so a non-finite solve stops here
-            if not np.isfinite(h_new):
-                raise NotearsConvergenceError(h_new, rho)
-            if h_new > progress_rate * h_val and rho < rho_max:
-                rho *= 10.0
-            else:
-                break
-        vec = x
-        h_val = h_new
-        alpha += rho * h_val
-        if h_val <= h_tol or rho >= rho_max:
-            break
-    if not h_val <= h_tol:
-        raise NotearsConvergenceError(h_val, rho)
-    w = unpack(vec)
-    w[diag_idx, diag_idx] = 0.0
-    adj = WeightedAdjacency(data.columns, w)
-    dag, _ = threshold_to_dag(adj, omega)
-    return adj, dag
+    Each cell is a resumable augmented Lagrangian with its own L-BFGS-B work
+    arrays, unchanged-x memo and rho/alpha schedule.  Every round evaluates
+    all waiting cells in one stacked objective call and resumes each with its
+    slice, so each cell takes the path, and ends at the W, of its own
+    :func:`notears_learn` fit bit for bit.  A failed cell leaves the round;
+    the others go on.
+    """
+    d = len(labels)
+    cells = [_resumable(_augmented_lagrangian(d, **notears_learn.__kwdefaults__)) for _ in lambdas]
+    fits: list[tuple[WeightedAdjacency, Dag] | None] = [None] * len(cells)
+    waiting: dict[int, tuple] = {}  # cell -> the (x, rho, alpha) it waits on
+
+    def resume(k: int, answer) -> None:
+        try:
+            waiting[k] = cells[k].send(answer)
+        except StopIteration as done:
+            fits[k] = _adjacency(labels, done.value, omega)
+        except NotearsConvergenceError:
+            pass
+
+    for k in range(len(cells)):
+        resume(k, None)
+    while waiting:
+        ks = list(waiting)
+        x, rho, alpha = map(np.array, zip(*waiting.values()))
+        waiting.clear()
+        f, g = _objective(grams[ks], lambdas[ks], x, rho, alpha)
+        for i, k in enumerate(ks):
+            resume(k, (f[i], g[i]))
+    return fits

@@ -1,11 +1,17 @@
 """Two-level stability selection for the continuous learner.
 
-Runs the penalized least-squares learner over a grid of regularization
-strengths and repeated subsamples, then keeps the directed edges that are
-selected frequently across a contiguous stretch of the grid.  The densest
-end of the grid (smallest lambda) and any grid points whose average graph
-is empty are excluded before looking for qualifying windows, so neither
-overly dense nor vacuous configurations can certify an edge.
+Fits the penalized least-squares learner (NOTEARS, Zheng et al., NeurIPS
+2018) on every (lambda, subsample) cell of a grid, then keeps the directed
+edges that are selected frequently across a contiguous stretch of the grid
+(Meinshausen & Buehlmann, JRSS-B 2010).  The densest end of the grid
+(smallest lambda) and any grid points whose average graph is empty are
+excluded before looking for qualifying windows, so neither overly dense nor
+vacuous configurations can certify an edge.
+
+The cells are solved in lockstep (:func:`notears_lockstep`): each keeps
+only its subsample's Gram matrix and its own solver state, and every round
+evaluates the objectives of all waiting cells in one stacked call.  Each
+cell's fit is bit-identical to :func:`notears_learn` on its subsample.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from .._coerce import check_ranges
 from .._rng import spawn_seed
 from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
-from .notears import NotearsConvergenceError, notears_learn
+from .notears import gram_matrix, notears_lockstep
+from .notears import notears_learn  # noqa: F401  unused here; perfbench/tracer.py patches stability.notears_learn by name
 
 __all__ = ["StabilityReport", "default_lambda_grid", "stability_select"]
 
@@ -69,7 +76,6 @@ def stability_select(
     seed: int = 0,
     omega: float = 0.3,
     standardize: bool = False,
-    n_jobs: int = 1,
 ) -> StabilityReport:
     """Edge selection frequencies across (lambda, subsample) fits.
 
@@ -79,9 +85,11 @@ def stability_select(
     exclusion so the procedure collapses to a plain thresholded fit.
     Solver failures are counted per cell and never abort the scan.
 
-    The (lambda, resample) cells are independent; ``n_jobs`` > 1 runs them
-    on a thread pool, and results reduce by cell index, so the report is
-    identical whatever the scheduling.
+    Each cell draws its subsample from its own child seed and keeps only
+    the subsample's Gram matrix.  All cells' NOTEARS fits then advance
+    together, one stacked objective evaluation per round, and the results
+    reduce by cell index; each cell's DAG is the one :func:`notears_learn`
+    gives on its subsample.
     """
     check_ranges(
         PARAM_RANGES,
@@ -99,28 +107,19 @@ def stability_select(
     edge_totals = np.zeros(len(grid))
     failures = 0
 
-    def fit_cell(li: int, ri: int) -> Dag | None:
+    def gram(li: int, ri: int) -> np.ndarray:
         rng = np.random.default_rng(spawn_seed(seed, "stability", li, ri))
         rows = rng.choice(n, size=size, replace=False)
-        sub = EventMatrix(labels, data.values[np.sort(rows)], provenance="subsample")
-        try:
-            _, dag = notears_learn(sub, lambda1=grid[li], omega=omega, standardize=standardize)
-            return dag
-        except NotearsConvergenceError:
-            return None
+        return gram_matrix(data.values[np.sort(rows)], standardize)
 
     cells = [(li, ri) for li in range(len(grid)) for ri in range(n_resamples)]
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(lambda cell: fit_cell(*cell), cells))
-    else:
-        results = [fit_cell(*cell) for cell in cells]
-    for (li, ri), dag in zip(cells, results):
-        if dag is None:
+    grams = np.array([gram(li, ri) for li, ri in cells])
+    fits = notears_lockstep(labels, grams, np.array([grid[li] for li, _ in cells]), omega)
+    for (li, _), fit in zip(cells, fits):
+        if fit is None:
             failures += 1
             continue
+        dag = fit[1]
         attempts[li] += 1
         edge_totals[li] += len(dag.edges)
         for e in dag.edges:

@@ -296,7 +296,7 @@ class PipelineConfig:
     falsify_perms: int = _default(falsify, "n_perm")
     seed: int = 0
     output_dir: str = "run"
-    jobs: int = 1  # worker cap for stages with internal parallelism
+    jobs: int = 1  # accepted for old configs and scripts; no stage runs in parallel, so it has no effect
 
     def __post_init__(self) -> None:
         _coerce_fields(self)
@@ -328,7 +328,7 @@ class PipelineConfig:
             get_learner(name, **params)  # the error names the learner and the parameter
 
     def to_doc(self) -> dict:
-        """The settings that determine a run's artifacts (not where they go or how many workers)."""
+        """The settings that determine a run's artifacts (not where they go, nor the inert ``jobs``)."""
         return {key: value for key, value in asdict(self).items() if key not in ("output_dir", "jobs")}
 
     @classmethod
@@ -429,10 +429,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     trees = {}
     for algo in cfg.algorithms:
         def discover_stage(algo=algo) -> Dag:
-            params = dict(cfg.learner_params.get(algo, {}))
-            if algo == "notears-stability":
-                params.setdefault("n_jobs", cfg.jobs)
-            learner = get_learner(algo, **params)
+            learner = get_learner(algo, **cfg.learner_params.get(algo, {}))
             return learner(completed, int(spawn_seed(cfg.seed, "discover", algo).generate_state(1)[0]))
 
         dag = stage(f"discover:{algo}", discover_stage)

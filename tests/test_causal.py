@@ -443,17 +443,19 @@ class TestRefutations:
             assert a == b
 
     def test_node_absent_from_data_raises_key_error(self):
-        # the ancestor w, the treatment a and the outcome b are each missing in turn
+        # the ancestor w, the treatment a and the outcome b are each missing in
+        # turn, for an estimate whose ancestral closure is the whole DAG (a -> b)
+        # and one that leaves b outside it (w -> a)
         dag = Dag(("w", "a", "b"), [("w", "a"), ("a", "b")])
         full = sample(net(dag.nodes, dag.edges, {"w": [0.5], "a": [0.3, 0.8], "b": [0.2, 0.7]}), 200, seed=1)
         bn = fit_cpts(dag, full)
-        est = ace(bn, "a", "b")
-        for drop in dag.nodes:
-            keep = [c for c in full.columns if c != drop]
-            data = EventMatrix(tuple(keep), full.values[:, [full.column_index(c) for c in keep]])
-            for kind in ("placebo", "subset"):
-                with pytest.raises(KeyError, match=repr(drop)):
-                    refute(bn, data, est, kind, seed=0)
+        for est in (ace(bn, "a", "b"), ace(bn, "w", "a")):
+            for drop in dag.nodes:
+                keep = [c for c in full.columns if c != drop]
+                data = EventMatrix(tuple(keep), full.values[:, [full.column_index(c) for c in keep]])
+                for kind in REFUTATION_KINDS:
+                    with pytest.raises(KeyError, match=repr(drop)):
+                        refute(bn, data, est, kind, seed=0)
 
     def test_unknown_kind(self, chain_ab):
         data = sample(chain_ab, 100, seed=0)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalchron._rng import spawn_seed
 from causalchron.bayesnet import sample
 from causalchron.dataset import EventMatrix
 from causalchron.discovery import (
@@ -17,6 +20,7 @@ from causalchron.discovery import (
     default_lambda_grid,
     notears,
     notears_learn,
+    stability,
     stability_select,
     threshold_to_dag,
 )
@@ -272,6 +276,13 @@ def nan_solve(fun, x0, *rest):
     return x0, np.nan, 1, 0, 2
 
 
+def nan_steps(x0, *rest):
+    """The stepwise form of ``nan_solve``, as stability selection runs its
+    inner solves: it ends at a NaN objective without asking for a point."""
+    yield from ()
+    return x0, np.nan, 1, 0, 2
+
+
 def overflow_solve(fun, x0, *rest):
     """An inner solve that ends at W[0, 1] = W[1, 0] = 30 (d = 3), where
     exp(W o W) overflows, so h is not finite."""
@@ -303,7 +314,7 @@ class TestNonFiniteSolve:
 
     def test_stability_counts_nonfinite_solves_as_failures(self):
         data = sample(preset_network("chain-3"), 200, seed=0)
-        with mock.patch.object(notears, "_lbfgsb", nan_solve):
+        with mock.patch.object(notears, "_lbfgsb_steps", nan_steps):
             report = stability_select(data, lambda_grid=(0.05, 0.1), n_resamples=2, seed=0)
         assert report.failures == 4
         assert report.stable_edges == frozenset()
@@ -369,15 +380,15 @@ class TestStabilitySelection:
         # ten acyclic fits whose stable union is the 3-cycle a -> b -> c -> a,
         # with peak frequencies a->b 0.9, c->a 0.6, b->c 0.5
         from causalchron.bayesnet import Dag
-        from causalchron.discovery import stability
 
         labels = ("a", "b", "c")
         fits = [[("b", "c"), ("c", "a")]]
         fits += [[("a", "b"), ("c", "a")]] * 5
         fits += [[("a", "b"), ("b", "c")]] * 4
-        calls = iter(fits)
         monkeypatch.setattr(
-            stability, "notears_learn", lambda sub, **kwargs: (None, Dag(labels, next(calls)))
+            stability,
+            "notears_lockstep",
+            lambda labels, grams, lambdas, omega: [(None, Dag(labels, edges)) for edges in fits],
         )
         data = EventMatrix(labels, np.zeros((20, 3), dtype=np.int8))
         report = stability.stability_select(
@@ -397,9 +408,121 @@ class TestStabilitySelection:
         assert a.stable_edges == b.stable_edges
         assert a.edge_frequencies == b.edge_frequencies
 
-    def test_thread_pool_gives_the_serial_report(self):
-        data = sample(preset_network("chain-4"), 600, seed=9)
-        kwargs = dict(lambda_grid=default_lambda_grid(1e-2, 0.5, 3), n_resamples=4, seed=2)
-        serial = stability_select(data, **kwargs)
-        pooled = stability_select(data, n_jobs=2, **kwargs)
-        assert pooled == serial
+
+def log_evaluations(monkeypatch):
+    """Patch the objective to log every point it evaluates, per problem: the
+    problem is keyed by its Gram matrix bytes and lambda, the point logged as
+    (x bytes, rho, alpha).  One-problem and stacked calls log alike."""
+    log = defaultdict(list)
+    objective = notears._objective
+
+    def logged(gram, lambda1, vec, rho, alpha):
+        d = gram.shape[-1]
+        vecs = vec.reshape(-1, 2 * d * d)
+        params = (np.broadcast_to(v, len(vecs)) for v in (lambda1, rho, alpha))
+        for g, x, lam, r, a in zip(gram.reshape(-1, d, d), vecs, *params):
+            log[g.tobytes(), float(lam)].append((x.tobytes(), float(r), float(a)))
+        return objective(gram, lambda1, vec, rho, alpha)
+
+    monkeypatch.setattr(notears, "_objective", logged)
+    return log
+
+
+def solve_nfevs(evaluations):
+    """Each inner solve's ``nfev`` from one problem's logged evaluations: a
+    solve is a run of evaluations at one (rho, alpha)."""
+    return [len(list(run)) for _, run in itertools.groupby(evaluations, key=lambda e: e[1:])]
+
+
+class TestLockstep:
+    """Stability selection solves all its cells together; each cell must take
+    the path of its own notears_learn fit bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        k=st.integers(1, 6),
+    )
+    def test_stacked_objective_is_the_textbook_objective_in_every_slice(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        data = [sample(random_network(rng, d), int(rng.integers(30, 300)), seed=seed + i) for i in range(k)]
+        lambdas = rng.choice([0.0, 1e-3, 0.02, 0.1, 0.5], size=k)
+        rhos = 10.0 ** rng.integers(0, 17, size=k)
+        alphas = rng.choice([0.0, 1.0], size=k) * rng.uniform(0, 50, size=k)
+        vecs = rng.uniform(0, 0.8, size=(k, 2 * d * d)) * (rng.random((k, 2 * d * d)) < 0.4)
+        vecs[:, np.tile(np.eye(d, dtype=bool).ravel(), 2)] = 0.0
+        grams = np.array([notears.gram_matrix(m.values, False) for m in data])
+        f, g = notears._objective(grams, lambdas, vecs, rhos, alphas)
+        for i in range(k):
+            f_ref, g_ref = textbook_objective(data[i], lambdas[i])(vecs[i], rhos[i], alphas[i])
+            assert np.float64(f[i]).tobytes() == np.float64(f_ref).tobytes()
+            assert g[i].tobytes() == g_ref.tobytes()
+
+    @staticmethod
+    def subsamples(data, lambda_grid, n_resamples, seed, subsample_frac=0.8):
+        """Each cell's (lambda, subsample), drawn as stability_select draws them."""
+        size = int(np.ceil(subsample_frac * data.n_rows))
+        for li, lam in enumerate(lambda_grid):
+            for ri in range(n_resamples):
+                rows = np.random.default_rng(spawn_seed(seed, "stability", li, ri)).choice(
+                    data.n_rows, size=size, replace=False
+                )
+                yield lam, EventMatrix(data.columns, data.values[np.sort(rows)])
+
+    @pytest.mark.parametrize("rho_max", [1e16, 1e3])
+    def test_report_and_every_fit_match_per_cell_notears_learn(self, monkeypatch, rho_max):
+        # at a penalty cap of 1e3 the dense cells fail and the sparse ones converge
+        monkeypatch.setitem(notears.notears_learn.__kwdefaults__, "rho_max", rho_max)
+        data = sample(preset_network("chain-4"), 300, seed=12)
+        kwargs = dict(lambda_grid=default_lambda_grid(1e-3, 0.5, 4), n_resamples=3, seed=5)
+        cells = list(self.subsamples(data, **kwargs))
+        log = log_evaluations(monkeypatch)
+        lockstep = stability.notears_lockstep
+        fits = {}
+
+        def captured(name, fit):
+            def run(labels, grams, lambdas, omega):
+                fits[name] = fit(labels, grams, lambdas, omega)
+                return fits[name]
+
+            return run
+
+        keys, per_solve = [], []  # each cell's problem key and per-solve nfevs, in cell order
+        driver = notears._lbfgsb
+
+        def counted(fun, x0, args, *rest):
+            res = driver(fun, x0, args, *rest)
+            per_solve[-1].append(res[2])
+            return res
+
+        def per_cell(labels, grams, lambdas, omega):
+            out = []
+            for (lam, sub), gram in zip(cells, grams):
+                assert notears.gram_matrix(sub.values, False).tobytes() == gram.tobytes()
+                keys.append((gram.tobytes(), lam))
+                per_solve.append([])
+                try:
+                    out.append(notears_learn(sub, lambda1=lam, omega=omega))
+                except NotearsConvergenceError:
+                    out.append(None)
+            return out
+
+        monkeypatch.setattr(stability, "notears_lockstep", captured("lockstep", lockstep))
+        report = stability_select(data, **kwargs)
+        evaluations = dict(log)
+        log.clear()
+        monkeypatch.setattr(notears, "_lbfgsb", counted)
+        monkeypatch.setattr(stability, "notears_lockstep", captured("per cell", per_cell))
+        reference = stability_select(data, **kwargs)
+
+        assert report == reference
+        n_failed = sum(fit is None for fit in fits["per cell"])
+        assert report.failures == n_failed
+        assert (n_failed > 0) == (rho_max < 1e16) and n_failed < len(cells)
+        assert [None if f is None else f[0].w.tobytes() for f in fits["lockstep"]] == [
+            None if f is None else f[0].w.tobytes() for f in fits["per cell"]
+        ]
+        assert len(evaluations) == len(cells)
+        assert evaluations == dict(log)
+        assert [solve_nfevs(evaluations[key]) for key in keys] == per_solve
