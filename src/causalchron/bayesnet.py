@@ -617,8 +617,9 @@ def sample(bn: DiscreteBayesNet, n: int, seed: int) -> EventMatrix:
 # ---------------------------------------------------------------------------
 
 
-def network_to_json(bn: DiscreteBayesNet) -> str:
-    doc = {
+def network_doc(bn: DiscreteBayesNet) -> dict:
+    """The nodes, edges and tables of ``bn`` as a JSON-ready document."""
+    return {
         "nodes": list(bn.dag.nodes),
         "edges": [list(e) for e in bn.dag.sorted_edges()],
         "cpts": [
@@ -630,7 +631,10 @@ def network_to_json(bn: DiscreteBayesNet) -> str:
             for cpt in bn.cpts
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def network_to_json(bn: DiscreteBayesNet) -> str:
+    return json.dumps(network_doc(bn), indent=2) + "\n"
 
 
 def network_from_json(text: str) -> DiscreteBayesNet:

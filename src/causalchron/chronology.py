@@ -108,17 +108,14 @@ def strong_causal_relations(t: CausalRelationTable) -> tuple[RelationRow, ...]:
 def build_chronology(g: Dag, strong: tuple[RelationRow, ...]) -> ChronologyTree:
     """Assemble the timeline from the retained relations (one pass, steps iii-vii).
 
-    Strong edges are processed in increasing source level of the discovered
-    graph (a cosmetic ordering: the result is the same set either way);
-    roots of the source graph missing from the tree and any node left
-    without tree edges are carried over as isolated level-0 nodes.
+    The strong edges form the tree; roots of the source graph missing from
+    the tree and any node left without tree edges are carried over as
+    isolated level-0 nodes.
     """
     for row in strong:
         if (row.treatment, row.outcome) not in g.edges:
             raise ValueError(f"strong relation ({row.treatment!r}, {row.outcome!r}) is not an edge of the graph")
-    g_levels = topological_levels(g)
-    ordered = sorted(strong, key=lambda r: (g_levels[r.treatment], r.treatment, r.outcome))
-    edges = frozenset((r.treatment, r.outcome) for r in ordered)
+    edges = frozenset((r.treatment, r.outcome) for r in strong)
     touched = {n for e in edges for n in e}
     tree_dag = Dag(g.nodes, edges)
     tree_levels = topological_levels(tree_dag)
@@ -432,7 +429,11 @@ class ConsensusSummary:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def consensus_edges(dags: list[Dag], min_models: int = 2) -> ConsensusSummary:
+#: an edge is consensus when at least this many models recover it
+CONSENSUS_MIN_MODELS = 2
+
+
+def consensus_edges(dags: list[Dag]) -> ConsensusSummary:
     """Multigraph summary of edges recovered across several models."""
     directed: dict[tuple[str, str], int] = {}
     undirected: dict[frozenset[str], int] = {}
@@ -444,8 +445,8 @@ def consensus_edges(dags: list[Dag], min_models: int = 2) -> ConsensusSummary:
     return ConsensusSummary(
         directed_counts=directed,
         undirected_counts=undirected,
-        consensus_directed=tuple(sorted(e for e, n in directed.items() if n >= min_models)),
+        consensus_directed=tuple(sorted(e for e, n in directed.items() if n >= CONSENSUS_MIN_MODELS)),
         consensus_undirected=tuple(
-            sorted((p for p, n in undirected.items() if n >= min_models), key=sorted)
+            sorted((p for p, n in undirected.items() if n >= CONSENSUS_MIN_MODELS), key=sorted)
         ),
     )

@@ -27,7 +27,7 @@ from .chronology import (
 from .dataset import load_reads, missingness_profile, save_reads
 from .discovery import LEARNER_NAMES, default_lambda_grid, get_learner, stability_select
 from .imputation import INITIAL_FILLS, em_impute
-from .pipeline import PipelineConfig, ScenarioSpec, StageFailure, run_pipeline, simulate
+from .pipeline import PipelineConfig, ScenarioSpec, StageFailure, _canonical_json, run_pipeline, simulate
 
 __all__ = ["main", "build_parser"]
 
@@ -134,7 +134,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_reads(matrix, out / "data.csv")
-    (out / "truth.json").write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "truth.json").write_text(_canonical_json(truth), encoding="utf-8")
     print(f"wrote {out / 'data.csv'} ({matrix.n_rows} rows, {matrix.n_cols} events)")
     return 0
 
@@ -163,9 +163,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     if args.algo == "notears-stability":
         report = stability_select(matrix, seed=args.seed, **params)
         dag = report.dag
-        (out / "stability.json").write_text(
-            json.dumps(report.to_json_doc(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (out / "stability.json").write_text(_canonical_json(report.to_json_doc()), encoding="utf-8")
     else:
         dag = learner(matrix, args.seed)
     write_dag(dag, out / f"dag.{args.algo}.edges")

@@ -115,21 +115,26 @@ def _objective(gram, lambda1, vec, rho, alpha) -> tuple[np.ndarray, np.ndarray]:
     tests/test_notears.py, so L-BFGS-B takes the same path either way:
     negation is exact and IEEE addition commutes, hence
     lambda1 - g == -g + lambda1.
+
+    A line-search probe at a large W overflows ``expm``; f then comes back
+    non-finite and L-BFGS-B backtracks, so the overflow is expected and
+    its floating-point warnings are silenced here.
     """
     d = gram.shape[-1]
     stack = vec.shape[:-1]
-    w = (vec[..., : d * d] - vec[..., d * d :]).reshape(*stack, d, d)
-    delta = w - np.eye(d)
-    loss = 0.5 * (delta.swapaxes(-1, -2) @ gram @ delta).trace(axis1=-2, axis2=-1)
-    h, g_smooth = acyclicity_h(w)
-    g_smooth *= np.asarray(rho * h + alpha)[..., None, None]
-    g_smooth += gram @ delta
-    value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * vec.sum(axis=-1)
-    lam = np.asarray(lambda1)[..., None, None]
-    grad = np.empty(vec.shape)
-    halves = grad.reshape(*stack, 2, d, d)
-    np.add(g_smooth, lam, out=halves[..., 0, :, :])
-    np.subtract(lam, g_smooth, out=halves[..., 1, :, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (vec[..., : d * d] - vec[..., d * d :]).reshape(*stack, d, d)
+        delta = w - np.eye(d)
+        loss = 0.5 * (delta.swapaxes(-1, -2) @ gram @ delta).trace(axis1=-2, axis2=-1)
+        h, g_smooth = acyclicity_h(w)
+        g_smooth *= np.asarray(rho * h + alpha)[..., None, None]
+        g_smooth += gram @ delta
+        value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * vec.sum(axis=-1)
+        lam = np.asarray(lambda1)[..., None, None]
+        grad = np.empty(vec.shape)
+        halves = grad.reshape(*stack, 2, d, d)
+        np.add(g_smooth, lam, out=halves[..., 0, :, :])
+        np.subtract(lam, g_smooth, out=halves[..., 1, :, :])
     return value, grad
 
 

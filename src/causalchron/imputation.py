@@ -190,11 +190,12 @@ def em_impute(
 
     Each cycle relearns the graph from the current completed matrix
     (M-step), then resets every originally-missing cell to the most likely
-    value given its parents' current values under the refitted tables
-    (E-step), committing all cells as one batch.  Cycles stop when the
-    fraction of changed directed edges between consecutive learned graphs
-    falls below ``tol``.  Exact 0.5 probabilities resolve to the column
-    mode.  Learner failures propagate annotated with the cycle index.
+    value given its parents under the refitted tables (E-step), filling
+    nodes in topological order so that each cell reads its parents' values
+    of the same E-step.  Cycles stop when the fraction of changed directed
+    edges between consecutive learned graphs falls below ``tol``.  Exact
+    0.5 probabilities resolve to the column mode.  Learner failures
+    propagate annotated with the cycle index.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -232,49 +233,30 @@ def em_impute(
     )
 
 
-def _e_step_pass(
-    bn: DiscreteBayesNet,
-    values: np.ndarray,
-    missing_mask: np.ndarray,
-    modes: np.ndarray,
-    col_of: dict[str, int],
-) -> np.ndarray:
-    """One batch pass: every originally-missing cell from the frozen matrix."""
-    out = values.copy()
-    for node in bn.dag.nodes:
-        j = col_of[node]
-        rows = np.flatnonzero(missing_mask[:, j])
-        if rows.size == 0:
-            continue
-        cpt = bn.cpt(node)
-        p1 = cpt.p1[assignment_index(values[rows], [col_of[p] for p in cpt.parents])]
-        out[rows, j] = np.where(p1 > 0.5, 1, np.where(p1 < 0.5, 0, modes[j])).astype(np.int8)
-    return out
-
-
 def _e_step(
     bn: DiscreteBayesNet,
     completed: EventMatrix,
     missing_mask: np.ndarray,
     modes: np.ndarray,
 ) -> EventMatrix:
-    """Reset originally-missing cells to their most likely value.
+    """Reset originally-missing cells to their most likely value given their parents.
 
-    Parent values are read from the current completed matrix even where
-    they were originally missing, and never from cells updated in the same
-    pass.  Because fill dependencies follow the (acyclic) parent structure,
-    repeating the batch pass reaches a self-consistent assignment within at
-    most one pass per graph level; without the repetition, fills would take
-    one full EM cycle per block cell to propagate and convergence would
-    drag far past the observed two-iteration regime.
+    Nodes are filled in topological order, so the parent values a fill
+    reads are final: observed, or filled earlier in this pass.  The result
+    is the one assignment in which every originally-missing cell holds its
+    most likely value given its parents' values in that same assignment.
+    Exact 0.5 probabilities resolve to the column mode.
     """
-    values = completed.values
+    values = completed.values.copy()
     col_of = {c: i for i, c in enumerate(completed.columns)}
-    for _ in range(len(completed.columns) + 1):
-        out = _e_step_pass(bn, values, missing_mask, modes, col_of)
-        if np.array_equal(out, values):
-            break
-        values = out
-    if values is completed.values:
+    for node in bn.dag.topological_order():
+        j = col_of[node]
+        rows = np.flatnonzero(missing_mask[:, j])
+        if rows.size == 0:
+            continue
+        cpt = bn.cpt(node)
+        p1 = cpt.p1[assignment_index(values[rows], [col_of[p] for p in cpt.parents])]
+        values[rows, j] = np.where(p1 > 0.5, 1, np.where(p1 < 0.5, 0, modes[j])).astype(np.int8)
+    if np.array_equal(values, completed.values):
         return completed
     return completed.replace_values(values)

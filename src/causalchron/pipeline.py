@@ -27,6 +27,7 @@ from .bayesnet import (
     Dag,
     DiscreteBayesNet,
     fit_cpts,
+    network_doc,
     read_dag,
     sample,
     write_dag,
@@ -68,76 +69,40 @@ class StageFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 STRONG_ON, STRONG_OFF = 0.9, 0.1
+_STRONG = (STRONG_OFF, STRONG_ON)
+_ROOT = ((), (0.5,))
 
 
-def _chain(labels: tuple[str, ...]) -> DiscreteBayesNet:
-    edges = [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
-    dag = Dag(labels, edges)
-    cpts = [Cpt(labels[0], (), np.array([0.5]))]
-    cpts += [
-        Cpt(labels[i + 1], (labels[i],), np.array([STRONG_OFF, STRONG_ON]))
-        for i in range(len(labels) - 1)
-    ]
-    return DiscreteBayesNet(dag, tuple(cpts))
+def _network(spec: dict) -> DiscreteBayesNet:
+    """The network of a ``{node: (parents, p1)}`` table; nodes keep the table's order."""
+    dag = Dag(tuple(spec), [(p, node) for node, (parents, _) in spec.items() for p in parents])
+    return DiscreteBayesNet(dag, tuple(Cpt(node, parents, p1) for node, (parents, p1) in spec.items()))
 
 
-def _fork() -> DiscreteBayesNet:
-    dag = Dag(("x1", "x2", "x3"), [("x1", "x2"), ("x1", "x3")])
-    table = np.array([STRONG_OFF, STRONG_ON])
-    return DiscreteBayesNet(
-        dag,
-        (
-            Cpt("x1", (), np.array([0.5])),
-            Cpt("x2", ("x1",), table),
-            Cpt("x3", ("x1",), table),
-        ),
-    )
+def _labels(d: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(d))
 
 
-def _collider() -> DiscreteBayesNet:
-    dag = Dag(("x1", "x2", "x3"), [("x1", "x3"), ("x2", "x3")])
-    return DiscreteBayesNet(
-        dag,
-        (
-            Cpt("x1", (), np.array([0.5])),
-            Cpt("x2", (), np.array([0.5])),
-            Cpt("x3", ("x1", "x2"), np.array([0.05, 0.7, 0.7, 0.95])),
-        ),
-    )
+#: the fixed three- and four-node presets
+_SHAPES = {
+    "fork": {"x1": _ROOT, "x2": (("x1",), _STRONG), "x3": (("x1",), _STRONG)},
+    "collider": {"x1": _ROOT, "x2": _ROOT, "x3": (("x1", "x2"), (0.05, 0.7, 0.7, 0.95))},
+    "diamond": {
+        "x1": _ROOT,
+        "x2": (("x1",), _STRONG),
+        "x3": (("x1",), _STRONG),
+        "x4": (("x2", "x3"), (0.05, 0.6, 0.6, 0.95)),
+    },
+}
 
 
-def _diamond() -> DiscreteBayesNet:
-    dag = Dag(
-        ("x1", "x2", "x3", "x4"),
-        [("x1", "x2"), ("x1", "x3"), ("x2", "x4"), ("x3", "x4")],
-    )
-    table = np.array([STRONG_OFF, STRONG_ON])
-    return DiscreteBayesNet(
-        dag,
-        (
-            Cpt("x1", (), np.array([0.5])),
-            Cpt("x2", ("x1",), table),
-            Cpt("x3", ("x1",), table),
-            Cpt("x4", ("x2", "x3"), np.array([0.05, 0.6, 0.6, 0.95])),
-        ),
-    )
-
-
-def _random_network(d: int, edge_prob: float, seed: int) -> DiscreteBayesNet:
+def _random_network(labels: tuple[str, ...], edge_prob: float, seed: int) -> DiscreteBayesNet:
+    """Each forward pair (i < j) is an edge with ``edge_prob``; tables are uniform on [0.05, 0.95]."""
+    d = len(labels)
     rng = np.random.default_rng(spawn_seed(seed, "random-preset", d))
-    labels = tuple(f"x{i + 1}" for i in range(d))
-    edges = [
-        (labels[i], labels[j])
-        for i in range(d)
-        for j in range(i + 1, d)
-        if rng.random() < edge_prob
-    ]
-    dag = Dag(labels, edges)
-    cpts = []
-    for node in labels:
-        k = len(dag.parents(node))
-        cpts.append(Cpt(node, dag.parents(node), rng.uniform(0.05, 0.95, size=1 << k)))
-    return DiscreteBayesNet(dag, tuple(cpts))
+    drawn = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < edge_prob]
+    parents = [tuple(labels[i] for i, j in drawn if j == child) for child in range(d)]
+    return _network({node: (ps, rng.uniform(0.05, 0.95, size=1 << len(ps))) for node, ps in zip(labels, parents)})
 
 
 #: synthetic stand-ins shaped like the two real gene datasets (12 events x
@@ -169,25 +134,17 @@ def preset_network(name: str, seed: int = 0) -> DiscreteBayesNet:
         d = int(name.split("-")[1]) if "-" in name else 5
         if d < 2:
             raise ValueError("chain preset needs at least 2 nodes")
-        return _chain(tuple(f"x{i + 1}" for i in range(d)))
-    if name == "fork":
-        return _fork()
-    if name == "collider":
-        return _collider()
-    if name == "diamond":
-        return _diamond()
+        labels = _labels(d)
+        return _network({node: (labels[i - 1 : i], _STRONG) if i else _ROOT for i, node in enumerate(labels)})
+    if name in _SHAPES:
+        return _network(_SHAPES[name])
     if name.startswith("random-"):
         parts = name.split("-")
         if len(parts) != 3:
             raise ValueError("random preset reads random-<d>-<edge_prob>, e.g. random-6-0.3")
-        return _random_network(int(parts[1]), float(parts[2]), seed)
+        return _random_network(_labels(int(parts[1])), float(parts[2]), seed)
     if name in _SITE_PRESETS:
-        labels, _, _ = _SITE_PRESETS[name]
-        rng_net = _random_network(len(labels), 0.25, seed)
-        mapping = dict(zip(rng_net.dag.nodes, labels))
-        dag = rng_net.dag.relabel(mapping)
-        cpts = tuple(Cpt(mapping[c.node], dag.parents(mapping[c.node]), c.p1) for c in rng_net.cpts)
-        return DiscreteBayesNet(dag, cpts)
+        return _random_network(_SITE_PRESETS[name][0], 0.25, seed)
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -233,7 +190,7 @@ def simulate(spec: ScenarioSpec) -> tuple[EventMatrix, dict]:
     bn = preset_network(spec.preset, seed=spec.seed)
     n = spec.resolved_rows()
     rate = spec.resolved_rate()
-    complete = sample(bn, n, seed=int(spawn_seed(spec.seed, "scenario-sample").generate_state(1)[0]))
+    complete = sample(bn, n, seed=_child_seed(spec.seed, "scenario-sample"))
     values = complete.values.copy()
     d = values.shape[1]
     if rate > 0.0:
@@ -252,12 +209,7 @@ def simulate(spec: ScenarioSpec) -> tuple[EventMatrix, dict]:
         "seed": spec.seed,
         "n_rows": n,
         "missing_rate": rate,
-        "nodes": list(bn.dag.nodes),
-        "edges": [list(e) for e in bn.dag.sorted_edges()],
-        "cpts": [
-            {"node": c.node, "parents": list(c.parents), "p1_by_assignment": [float(p) for p in c.p1]}
-            for c in bn.cpts
-        ],
+        **network_doc(bn),
         "true_ace": [
             {"treatment": p, "outcome": c, "value": ace_surgery(bn, p, c)}
             for p, c in bn.dag.sorted_edges()
@@ -362,11 +314,18 @@ def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _child_seed(master: int, *tags: object) -> int:
+    """The integer seed of one consumer of ``master``, named by ``tags``."""
+    return int(spawn_seed(master, *tags).generate_state(1)[0])
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute every stage, write artifacts, and return the aggregate report.
 
     Any stage failure raises :class:`StageFailure` naming the stage;
     artifacts written before the failure are retained for inspection.
+    Stage functions are looked up in this module when the stage runs, so
+    a wrapper installed on a module name sees every call.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -376,24 +335,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         (out / name).write_text(text, encoding="utf-8")
         artifacts.append(name)
 
-    def stage(name: str, fn):
+    def stage(name: str, fn, /, *args, **kwargs):
         try:
-            return fn()
+            return fn(*args, **kwargs)
         except StageFailure:
             raise
         except Exception as exc:
             raise StageFailure(name, exc) from exc
 
-    def load_stage() -> EventMatrix:
-        if cfg.input_path is not None:
-            return load_reads(cfg.input_path)
+    def simulated() -> EventMatrix:
         matrix, truth = simulate(cfg.scenario)
         emit("truth.json", _canonical_json(truth))
         save_reads(matrix, out / "data.csv")
         artifacts.append("data.csv")
         return matrix
 
-    def exclude_stage() -> EventMatrix:
+    def excluded(matrix: EventMatrix) -> EventMatrix:
         kept = [c for c in matrix.columns if c not in cfg.exclude]
         if len(kept) < 2:
             raise ValueError(
@@ -401,63 +358,57 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             )
         return exclude_events(matrix, cfg.exclude)
 
-    matrix = stage("load", load_stage)
+    if cfg.input_path is not None:
+        matrix = stage("load", load_reads, cfg.input_path)
+    else:
+        matrix = stage("load", simulated)
     if cfg.exclude:
-        matrix = stage("exclude", exclude_stage)
+        matrix = stage("exclude", excluded, matrix)
     emit("missingness.json", missingness_profile(matrix).to_json())
 
-    def impute_stage():
-        learner = get_learner(cfg.impute_learner, **cfg.learner_params.get(cfg.impute_learner, {}))
-        return em_impute(
-            matrix,
-            learner,
-            max_iter=cfg.impute_max_iter,
-            tol=cfg.impute_tol,
-            ess=cfg.ess,
-            seed=int(spawn_seed(cfg.seed, "impute").generate_state(1)[0]),
-            initial_method=cfg.impute_method,
-        )
-
-    imputation = stage("impute", impute_stage)
-    save_reads(imputation.completed, out / "data.imputed.csv")
+    # every learner was built once when the config was, so get_learner cannot fail here
+    imputation = stage(
+        "impute",
+        em_impute,
+        matrix,
+        get_learner(cfg.impute_learner, **cfg.learner_params.get(cfg.impute_learner, {})),
+        max_iter=cfg.impute_max_iter,
+        tol=cfg.impute_tol,
+        ess=cfg.ess,
+        seed=_child_seed(cfg.seed, "impute"),
+        initial_method=cfg.impute_method,
+    )
+    completed = imputation.completed
+    save_reads(completed, out / "data.imputed.csv")
     artifacts.append("data.imputed.csv")
     emit("imputation.json", imputation.report_json())
-    completed = imputation.completed
 
     report: dict = {"models": {}, "config": cfg.to_doc()}
     models: list[tuple[str, Dag]] = []
-    trees = {}
     for algo in cfg.algorithms:
-        def discover_stage(algo=algo) -> Dag:
-            learner = get_learner(algo, **cfg.learner_params.get(algo, {}))
-            return learner(completed, int(spawn_seed(cfg.seed, "discover", algo).generate_state(1)[0]))
-
-        dag = stage(f"discover:{algo}", discover_stage)
+        learner = get_learner(algo, **cfg.learner_params.get(algo, {}))
+        dag = stage(f"discover:{algo}", learner, completed, _child_seed(cfg.seed, "discover", algo))
         write_dag(dag, out / f"dag.{algo}.edges")
         artifacts.append(f"dag.{algo}.edges")
         emit(f"dag.{algo}.dot", dag.to_dot(name=algo))
 
-        def effects_stage(algo=algo, dag=dag):
-            bn = fit_cpts(dag, completed, ess=cfg.ess)
-            return effects_for_dag(
-                bn,
-                completed,
-                refutations=cfg.refutations,
-                seed=int(spawn_seed(cfg.seed, "effects", algo).generate_state(1)[0]),
-                ess=cfg.ess,
-            )
-
-        table = stage(f"effects:{algo}", effects_stage)
+        bn = stage(f"effects:{algo}", fit_cpts, dag, completed, ess=cfg.ess)
+        table = stage(
+            f"effects:{algo}",
+            effects_for_dag,
+            bn,
+            completed,
+            refutations=cfg.refutations,
+            seed=_child_seed(cfg.seed, "effects", algo),
+            ess=cfg.ess,
+        )
         emit(f"effects.{algo}.csv", table.to_csv())
         emit(f"effects.{algo}.json", table.to_json())
 
-        def chronology_stage(dag=dag, table=table):
-            return build_chronology(dag, strong_causal_relations(table))
-
-        tree = stage(f"chronology:{algo}", chronology_stage)
+        strong = stage(f"chronology:{algo}", strong_causal_relations, table)
+        tree = stage(f"chronology:{algo}", build_chronology, dag, strong)
         emit(f"chronology.{algo}.dot", tree.to_dot())
         emit(f"chronology.{algo}.edges", tree.to_edge_list())
-        trees[algo] = tree
         model_dag = tree.as_dag(node_order=completed.columns)
         models.append((algo, model_dag))
         report["models"][algo] = {
@@ -468,13 +419,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         }
 
     for name, path in cfg.reference_models:
-        def reference_stage(name=name, path=path) -> Dag:
-            dag = read_dag(path)
-            return Dag(completed.columns, dag.edges)
+        edges = stage(f"reference:{name}", read_dag, path).edges
+        models.append((name, stage(f"reference:{name}", Dag, completed.columns, edges)))
 
-        models.append((name, stage(f"reference:{name}", reference_stage)))
-
-    scores = stage("compare", lambda: compare_models(models, completed, ess=cfg.ess))
+    scores = stage("compare", compare_models, models, completed, ess=cfg.ess)
     emit("scores.csv", scores_to_csv(scores))
     report["scores"] = [
         {"name": s.name, "bic": s.bic, "log_likelihood": s.log_likelihood} for s in scores
@@ -482,15 +430,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     verdicts = {}
     for name, dag in models:
-        def falsify_stage(name=name, dag=dag):
-            return falsify(
-                dag,
-                completed,
-                n_perm=cfg.falsify_perms,
-                seed=int(spawn_seed(cfg.seed, "falsify", name).generate_state(1)[0]),
-            )
-
-        verdict = stage(f"falsify:{name}", falsify_stage)
+        seed = _child_seed(cfg.seed, "falsify", name)
+        verdict = stage(f"falsify:{name}", falsify, dag, completed, n_perm=cfg.falsify_perms, seed=seed)
         emit(f"falsify.{name}.json", verdict.to_json())
         verdicts[name] = {
             "falsifiable": verdict.falsifiable,
@@ -500,7 +441,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         }
     report["falsification"] = verdicts
 
-    consensus = stage("consensus", lambda: consensus_edges([dag for _, dag in models]))
+    consensus = stage("consensus", consensus_edges, [dag for _, dag in models])
     emit("consensus.json", consensus.to_json())
     report["consensus_directed"] = [list(e) for e in consensus.consensus_directed]
     report["consensus_undirected"] = [sorted(p) for p in consensus.consensus_undirected]

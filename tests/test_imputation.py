@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from causalchron import imputation
-from causalchron.bayesnet import Dag
-from causalchron.dataset import MISSING, EventMatrix
+from causalchron.bayesnet import Dag, fit_cpts, sample
+from causalchron.dataset import MISSING, EventMatrix, assignment_index
 from causalchron.discovery import get_learner
 from causalchron.imputation import edge_change_fraction, em_impute, initial_impute
 from causalchron.pipeline import ScenarioSpec, simulate
+
+from conftest import random_network
 
 
 def matrix(labels, rows):
@@ -151,6 +153,56 @@ class TestRoundRobinReference:
         observed = m.values != MISSING
         assert out.is_complete
         assert np.array_equal(out.values[observed], m.values[observed])
+
+
+def reference_e_step(bn, completed, missing_mask, modes):
+    """The batch E-step: every originally-missing cell from the frozen
+    matrix, the pass repeated until the matrix stops changing."""
+    values = completed.values
+    col_of = {c: i for i, c in enumerate(completed.columns)}
+    for _ in range(len(completed.columns) + 1):
+        out = values.copy()
+        for node in bn.dag.nodes:
+            j = col_of[node]
+            rows = np.flatnonzero(missing_mask[:, j])
+            cpt = bn.cpt(node)
+            p1 = cpt.p1[assignment_index(values[rows], [col_of[p] for p in cpt.parents])]
+            out[rows, j] = np.where(p1 > 0.5, 1, np.where(p1 < 0.5, 0, modes[j]))
+        if np.array_equal(out, values):
+            break
+        values = out
+    return values
+
+
+class TestEStep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 6),
+        n=st.integers(1, 40),
+        rate=st.sampled_from([0.1, 0.4, 0.8]),
+        ess=st.sampled_from([None, 0.0, 1.0]),
+    )
+    def test_one_topological_pass_is_the_batch_fixed_point(self, seed, d, n, rate, ess):
+        # the declared node order is random, the columns take another random
+        # order; ess None imputes with the generating tables, and at ess 0
+        # small counts give exact 0.5 ties that take the column mode
+        rng = np.random.default_rng(seed)
+        bn = random_network(rng, d)
+        data = sample(bn, n, seed=seed)
+        columns = tuple(rng.permutation(data.columns))
+        values = data.values[:, [data.columns.index(c) for c in columns]].copy()
+        values[rng.random(values.shape) < rate] = MISSING
+        m = EventMatrix(columns, values)
+        missing_mask = values == MISSING
+        try:
+            modes = imputation._column_modes(values)
+        except ValueError:
+            return  # a fully missing column cannot be imputed
+        completed = initial_impute(m, "mode")
+        tables = bn if ess is None else fit_cpts(bn.dag, completed, ess=ess)
+        out = imputation._e_step(tables, completed, missing_mask, modes)
+        assert np.array_equal(out.values, reference_e_step(tables, completed, missing_mask, modes))
 
 
 class TestEdgeChangeFraction:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from collections import defaultdict
 from unittest import mock
 
@@ -311,6 +312,21 @@ class TestNonFiniteSolve:
                     notears_learn(data)
         assert not math.isfinite(err.value.h_final)
         assert solve.call_count == 1
+
+    def test_objective_overflow_is_silent(self):
+        """A line-search probe at W[0, 1] = W[1, 0] = 30 overflows expm: f is
+        not finite, and neither one problem nor a stack warns about it."""
+        gram = notears.gram_matrix(sample(preset_network("chain-3"), 200, seed=0).values, False)
+        vec = np.zeros(18)
+        vec[[1, 3]] = 30.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, _ = notears._objective(gram, 0.1, vec, 1.0, 0.0)
+            stacked, _ = notears._objective(
+                np.stack([gram, gram]), np.array([0.1, 0.1]), np.stack([vec, 0 * vec]), np.ones(2), np.zeros(2)
+            )
+        assert not np.isfinite(f)
+        assert not np.isfinite(stacked[0]) and np.isfinite(stacked[1])
 
     def test_stability_counts_nonfinite_solves_as_failures(self):
         data = sample(preset_network("chain-3"), 200, seed=0)

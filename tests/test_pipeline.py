@@ -159,6 +159,57 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert err.value.stage == "load"
 
+    @pytest.mark.parametrize(
+        "attr, stage",
+        [
+            ("load_reads", "load"),
+            ("simulate", "load"),
+            ("exclude_events", "exclude"),
+            ("em_impute", "impute"),
+            ("get_learner", "discover:pc"),
+            ("fit_cpts", "effects:pc"),
+            ("effects_for_dag", "effects:pc"),
+            ("strong_causal_relations", "chronology:pc"),
+            ("build_chronology", "chronology:pc"),
+            ("read_dag", "reference:ref"),
+            ("compare_models", "compare"),
+            ("falsify", "falsify:pc"),
+            ("consensus_edges", "consensus"),
+        ],
+    )
+    def test_each_stage_failure_names_its_stage(self, tmp_path, monkeypatch, attr, stage):
+        # the stage looks its function up in the pipeline module when it runs,
+        # so replacing the module name makes exactly that stage fail
+        from causalchron import pipeline
+        from causalchron.bayesnet import Dag, write_dag
+        from causalchron.dataset import save_reads
+
+        scenario = ScenarioSpec(preset="chain-4", n_rows=200, missing_rate=0.2, seed=3)
+        save_reads(simulate(scenario)[0], tmp_path / "data.csv")
+        write_dag(Dag(("x1", "x2", "x3"), [("x1", "x2")]), tmp_path / "ref.edges")
+        original = getattr(pipeline, attr)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError(f"{attr} broke")
+
+        def learner(name, **params):  # only the pc learner breaks; impute learns with hc
+            return broken if name == "pc" else original(name, **params)
+
+        monkeypatch.setattr(pipeline, attr, learner if attr == "get_learner" else broken)
+        source = {"scenario": scenario} if attr == "simulate" else {"input_path": str(tmp_path / "data.csv")}
+        cfg = PipelineConfig(
+            **source,
+            exclude=("x4",),
+            algorithms=("pc",),
+            refutations="none",
+            reference_models=(("ref", str(tmp_path / "ref.edges")),),
+            falsify_perms=1,
+            output_dir=str(tmp_path / "run"),
+        )
+        with pytest.raises(StageFailure, match=f"{attr} broke") as err:
+            run_pipeline(cfg)
+        assert err.value.stage == stage
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
             PipelineConfig()
