@@ -19,6 +19,7 @@ import numpy as np
 
 from ._rng import spawn_seed
 from .bayesnet import (
+    CiStatement,
     Dag,
     bic_score,
     cycle_edges,
@@ -29,7 +30,11 @@ from .bayesnet import (
 )
 from .causal import CausalRelationTable, RelationRow
 from .dataset import ContingencyTable, EventMatrix, contingency
-from .discovery.citests import ci_test_g2, fisher_exact
+from .discovery.citests import (
+    ci_test_g2,  # noqa: F401  unused here; perfbench/tracer.py patches chronology.ci_test_g2 by name
+    fisher_exact,
+    g2_tests,
+)
 
 __all__ = [
     "ChronologyTree",
@@ -340,6 +345,59 @@ class FalsificationVerdict:
         return json.dumps(doc, indent=2) + "\n"
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, inverse index and count of each distinct row of a 2-D array."""
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
+    return first, inverse.reshape(-1), counts
+
+
+def _rejection_counts(
+    statements: list[CiStatement], nodes: tuple[str, ...], perms: np.ndarray, data: EventMatrix, alpha_ci: float
+) -> np.ndarray:
+    """How many of ``statements`` the data rejects after each relabeling (row) of ``perms``.
+
+    A relabeled statement is keyed by its unordered pair and its
+    conditioning set.  Each distinct key is tested once, in the orientation
+    first seen (relabelings in order, then statements in order) and
+    conditioning on ``sorted(z)``, as a per-statement loop with a verdict
+    cache would test it.  The data rows are keyed once by distinct pattern,
+    and all statements of one conditioning-set size go to one ``g2_tests``
+    call.
+    """
+    n_graphs, d = perms.shape
+    if not statements:
+        return np.zeros(n_graphs, dtype=np.int64)
+    pos = {v: i for i, v in enumerate(nodes)}
+    # node positions after each relabeling, in the smallest integer type that holds them:
+    # x and y are (relabelings, statements), and z[r, i, perms[r, j]] says whether node j
+    # is in statement i's conditioning set
+    perms = perms.astype(np.min_scalar_type(d))
+    x = perms[:, [pos[s.x] for s in statements]]
+    y = perms[:, [pos[s.y] for s in statements]]
+    z = np.zeros((len(statements), d), dtype=bool)
+    for i, s in enumerate(statements):
+        z[i, [pos[v] for v in s.z]] = True
+    z = z[:, np.argsort(perms, axis=1)].swapaxes(0, 1)
+    first, ids, _ = _distinct_rows(
+        np.concatenate([np.minimum(x, y)[..., None], np.maximum(x, y)[..., None], z], axis=2).reshape(-1, d + 2)
+    )
+    x, y, z = x.ravel()[first], y.ravel()[first], z.reshape(-1, d)[first]
+
+    by_label = np.array(sorted(range(d), key=lambda i: nodes[i]))
+    col = np.array([data.column_index(v) for v in nodes])
+    pattern_rows, _, multiplicity = _distinct_rows(data.values)
+    patterns, weights = data.values[pattern_rows], multiplicity.astype(np.float64)
+    size = z.sum(axis=1)
+    rejected = np.empty(len(first), dtype=bool)
+    for k in np.unique(size):
+        members = np.flatnonzero(size == k)
+        zpos = by_label[np.nonzero(z[members][:, by_label])[1]].reshape(len(members), k)
+        cols = col[np.column_stack([zpos, x[members], y[members]])]
+        rejected[members] = g2_tests(patterns, weights, cols)[2] < alpha_ci
+    return rejected[ids.reshape(n_graphs, -1)].sum(axis=1)
+
+
 def falsify(
     g: Dag,
     data: EventMatrix,
@@ -359,31 +417,33 @@ def falsify(
     statement and at most half of the relabelings are equivalent to it; it
     is falsified when the permutation p-value reaches ``alpha_f`` or every
     implied statement is rejected outright.
+
+    The relabelings are the only random draws, so they are drawn first, and
+    every statement the graph and its relabelings imply is known before any
+    test runs.  Each distinct statement (x and y unordered) is tested once,
+    in the orientation first seen, conditioning on ``sorted(z)``; the data
+    rows are keyed once by distinct pattern, and ``g2_tests`` counts all
+    statements of one conditioning-set size in one stacked pass.  Its
+    packed index is built in chunks of about
+    ``citests._COUNT_BUDGET_BYTES`` (64 KiB), so memory beyond the data
+    stays at the (relabelings x statements x nodes) statement keys, one
+    byte each for up to 255 nodes, plus one chunk.  Marginal statements
+    count pairwise-complete rows; any statement with a non-empty
+    conditioning set requires complete data.
     """
     if n_perm < 0:
         raise ValueError("n_perm must be non-negative")
     statements = local_markov_statements(g)
-    cache: dict[tuple[frozenset[str], frozenset[str]], bool] = {}
-
-    def rejected(stmt) -> bool:
-        key = stmt.canonical()
-        if key not in cache:
-            cache[key] = ci_test_g2(data, stmt.x, stmt.y, sorted(stmt.z)).p_value < alpha_ci
-        return cache[key]
-
-    v_given = sum(rejected(s) for s in statements)
     rng = np.random.default_rng(spawn_seed(seed, "falsify"))
-    nodes = list(g.nodes)
-    baseline: list[int] = []
+    d = len(g.nodes)
+    # row 0 is the graph itself; relabeling r sends node i to node perms[r, i]
+    perms = np.array([np.arange(d)] + [rng.permutation(d) for _ in range(n_perm)])
+    v = _rejection_counts(statements, g.nodes, perms, data, alpha_ci)
+    v_given = int(v[0])
     favorable = 0
     n_equivalent = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(len(nodes))
-        mapping = {nodes[i]: nodes[perm[i]] for i in range(len(nodes))}
-        relabeled = g.relabel(mapping)
-        v_perm = sum(rejected(s.relabel(mapping)) for s in statements)
-        baseline.append(v_perm)
-        if relabeled.markov_equivalent(g):
+    for perm, v_perm in zip(perms[1:], v[1:]):
+        if g.relabel({g.nodes[i]: g.nodes[j] for i, j in enumerate(perm)}).markov_equivalent(g):
             n_equivalent += 1
         elif v_perm <= v_given:
             favorable += 1
@@ -394,7 +454,7 @@ def falsify(
         falsifiable=falsifiable,
         falsified=falsified,
         v_given=v_given,
-        baseline=tuple(baseline),
+        baseline=tuple(int(x) for x in v[1:]),
         p_value=p_value,
         n_statements=len(statements),
         n_equivalent=n_equivalent,

@@ -10,7 +10,7 @@ from scipy import special
 
 from ..dataset import MISSING, ContingencyTable, EventMatrix, joint_counts
 
-__all__ = ["G2Result", "ci_test_g2", "fisher_exact"]
+__all__ = ["G2Result", "ci_test_g2", "g2_tests", "fisher_exact"]
 
 #: strata with fewer rows than this are skipped, reducing the degrees of freedom
 MIN_STRATUM_ROWS = 5
@@ -41,7 +41,8 @@ def ci_test_g2(
     degrees of freedom reduced accordingly; if every stratum is skipped
     the result is degenerate with p = 1.  With an empty conditioning set
     the test runs on pairwise-complete rows, so marginal tests work on
-    matrices that still contain missing cells.
+    matrices that still contain missing cells.  The statistic is
+    ``_g2``, the one ``g2_tests`` computes for many statements at once.
     """
     xi = data.column_index(x)
     yi = data.column_index(y)
@@ -55,25 +56,86 @@ def ci_test_g2(
     else:
         keep = (values[:, xi] != MISSING) & (values[:, yi] != MISSING)
         values = values[keep]
-    if values.shape[0] == 0:
-        return G2Result(0.0, 0, 1.0, True)
+    counts = joint_counts(values, zi + [xi, yi]).reshape(1, -1, 2, 2).astype(np.float64)
+    statistic, df, p = _g2(counts)
+    return G2Result(float(statistic[0]), int(df[0]), float(p[0]), bool(df[0] == 0))
 
-    counts = joint_counts(values, zi + [xi, yi]).reshape(-1, 2, 2).astype(np.float64)
-    totals = counts.sum(axis=(1, 2))
-    keep_strata = totals >= MIN_STRATUM_ROWS
-    df = int(keep_strata.sum())
-    if df == 0:
-        return G2Result(0.0, 0, 1.0, True)
-    tables = counts[keep_strata]
-    rows = tables.sum(axis=2, keepdims=True)
-    cols = tables.sum(axis=1, keepdims=True)
-    expected = rows * cols / totals[keep_strata, None, None]
+
+# Size budget of one chunk's (rows x statements) packed index; its integer
+# copy and the broadcast weights take as much again each.  Statements are
+# independent, so chunking never changes a result, only peak memory; a
+# chunk holds at least one statement.
+_COUNT_BUDGET_BYTES = 64 * 2**10
+
+
+def g2_tests(
+    rows: np.ndarray, weights: np.ndarray, cols: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ci_test_g2``'s statistic, degrees of freedom and p-value for many statements at once.
+
+    ``rows`` holds cells (0, 1 or MISSING), one row per distinct record
+    pattern, and ``weights`` each pattern's number of records.  Row s of
+    ``cols`` names statement s's column indices as ``z..., x, y``; all
+    rows have the same length.  The stratum-and-cell index of every
+    statement of a chunk comes from one matmul of the rows against bit
+    weights (first column = high bit, as in ``joint_counts``), and the
+    chunk is counted in one weighted bincount.  A missing cell packs past
+    every in-range index, so a row missing any of a statement's cells
+    lands in that statement's discard bin, and a marginal statement counts
+    its pairwise-complete rows, as ``ci_test_g2`` does.  Statements with a
+    non-empty conditioning set require complete rows.  A chunk's packed
+    index takes about ``_COUNT_BUDGET_BYTES``.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    n_tests, width = cols.shape
+    missing = rows == MISSING
+    if width > 2 and missing.any():
+        raise ValueError("conditional tests require complete data")
+    n_cells = 1 << width
+    packed = rows.astype(np.float64)
+    packed[missing] = n_cells
+    bits = np.ldexp(1.0, np.arange(width - 1, -1, -1))
+    statistic = np.empty(n_tests)
+    df = np.empty(n_tests, dtype=np.int64)
+    p = np.empty(n_tests)
+    chunk = max(1, _COUNT_BUDGET_BYTES // (8 * len(rows)))
+    for lo in range(0, n_tests, chunk):
+        block = cols[lo : lo + chunk]
+        n_block = len(block)
+        w = np.zeros((rows.shape[1], n_block))
+        w[block, np.arange(n_block)[:, None]] = bits
+        # indices are small integers, exact in float64; bin n_cells of each statement discards
+        idx = packed @ w
+        np.minimum(idx, n_cells, out=idx)
+        idx += np.arange(n_block) * (n_cells + 1)
+        counts = np.bincount(
+            idx.astype(np.intp).ravel(),
+            np.broadcast_to(weights[:, None], idx.shape).ravel(),
+            n_block * (n_cells + 1),
+        )
+        counts = counts.reshape(n_block, n_cells + 1)[:, :n_cells].reshape(n_block, -1, 2, 2)
+        statistic[lo : lo + n_block], df[lo : lo + n_block], p[lo : lo + n_block] = _g2(counts)
+    return statistic, df, p
+
+
+def _g2(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statistic, degrees of freedom and p-value of stacked (tests, strata, 2, 2) counts."""
+    rows = counts.sum(axis=3, keepdims=True)
+    cols = counts.sum(axis=2, keepdims=True)
+    totals = rows.sum(axis=2, keepdims=True)
+    keep = totals >= MIN_STRATUM_ROWS
+    # a skipped stratum divides by 1, not by a total that may be 0; its terms are dropped below
+    expected = rows * cols / np.where(keep, totals, 1.0)
+    terms = np.log(np.divide(counts, expected, out=np.ones_like(counts), where=counts > 0)) * counts
     # zero cells contribute 0; each stratum's four cells, then the strata, add left to right
-    terms = np.log(np.divide(tables, expected, out=np.ones_like(tables), where=tables > 0)) * tables
-    per_stratum = 2.0 * (((terms[:, 0, 0] + terms[:, 0, 1]) + terms[:, 1, 0]) + terms[:, 1, 1])
-    g2 = max(float(np.cumsum(per_stratum)[-1]), 0.0)
-    p = float(special.chdtrc(df, g2))  # the chi-square survival function
-    return G2Result(g2, df, p, False)
+    # (cumsum is sequential), and a skipped stratum adds 0.0, which changes no partial sum
+    per_stratum = 2.0 * np.cumsum(terms.reshape(*terms.shape[:2], 4), axis=2)[..., -1]
+    keep = keep[..., 0, 0]
+    statistic = np.maximum(np.cumsum(np.where(keep, per_stratum, 0.0), axis=1)[:, -1], 0.0)
+    df = keep.sum(axis=1)
+    # the chi-square survival function; it is NaN, and unused, where every stratum was skipped
+    p = np.where(df > 0, special.chdtrc(df, statistic), 1.0)
+    return statistic, df, p
 
 
 def fisher_exact(t: ContingencyTable) -> float:

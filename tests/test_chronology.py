@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalchron.bayesnet import Dag, sample
+from causalchron._rng import spawn_seed
+from causalchron.bayesnet import Dag, local_markov_statements, sample
 from causalchron.causal import CausalRelationTable, RelationRow
 from causalchron.chronology import (
     ChronologyTree,
+    FalsificationVerdict,
     build_chronology,
     compare_models,
     consensus_edges,
@@ -17,7 +19,9 @@ from causalchron.chronology import (
     scores_to_csv,
     strong_causal_relations,
 )
-from causalchron.dataset import EventMatrix
+from causalchron.dataset import MISSING, EventMatrix
+from causalchron.discovery import citests
+from causalchron.discovery.citests import ci_test_g2
 from causalchron.pipeline import preset_network
 
 
@@ -316,6 +320,152 @@ class TestFalsify:
             "n_statements",
             "n_equivalent",
         }
+
+
+def reference_falsify(g, data, n_perm=20, alpha_ci=0.05, alpha_f=0.05, seed=0):
+    """Reference: the per-statement loop with a verdict cache that the stacked pass replaced."""
+    if n_perm < 0:
+        raise ValueError("n_perm must be non-negative")
+    statements = local_markov_statements(g)
+    cache = {}
+
+    def rejected(stmt) -> bool:
+        key = stmt.canonical()
+        if key not in cache:
+            cache[key] = ci_test_g2(data, stmt.x, stmt.y, sorted(stmt.z)).p_value < alpha_ci
+        return cache[key]
+
+    v_given = sum(rejected(s) for s in statements)
+    rng = np.random.default_rng(spawn_seed(seed, "falsify"))
+    nodes = list(g.nodes)
+    baseline = []
+    favorable = 0
+    n_equivalent = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(len(nodes))
+        mapping = {nodes[i]: nodes[perm[i]] for i in range(len(nodes))}
+        relabeled = g.relabel(mapping)
+        v_perm = sum(rejected(s.relabel(mapping)) for s in statements)
+        baseline.append(v_perm)
+        if relabeled.markov_equivalent(g):
+            n_equivalent += 1
+        elif v_perm <= v_given:
+            favorable += 1
+    p_value = (1 + favorable) / (n_perm + 1)
+    falsifiable = bool(statements) and (n_equivalent / n_perm <= 0.5 if n_perm else False)
+    falsified = p_value >= alpha_f or (bool(statements) and v_given == len(statements))
+    return FalsificationVerdict(
+        falsifiable=falsifiable,
+        falsified=falsified,
+        v_given=v_given,
+        baseline=tuple(baseline),
+        p_value=p_value,
+        n_statements=len(statements),
+        n_equivalent=n_equivalent,
+    )
+
+
+def verdict_or_error(fn, *args, **kwargs) -> str:
+    try:
+        return fn(*args, **kwargs).to_json()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# declared node order, label order and data column order all differ
+LABEL_POOL = ("b", "a", "x10", "x2", "c", "B", "z", "y")
+
+
+@st.composite
+def falsify_cases(draw, missing: bool = False):
+    """A random DAG over 2-7 nodes (empty and complete included) and small binary data."""
+    d = draw(st.integers(2, 7))
+    nodes = tuple(draw(st.permutations(LABEL_POOL))[:d])
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(d)
+    edges = [
+        (nodes[order[i]], nodes[order[j]])
+        for i in range(d)
+        for j in range(i + 1, d)
+        if rng.random() < density
+    ]
+    # small n, so strata fall under MIN_STRATUM_ROWS and tests reach df 0
+    n = draw(st.integers(1, 40))
+    values = np.empty((n, d), dtype=np.int8)
+    for j in range(d):
+        kind = draw(st.sampled_from(["random", "copy", "zero", "one"]))
+        if kind == "random" or j == 0:
+            values[:, j] = rng.random(n) < rng.uniform(0.1, 0.9)
+        elif kind == "copy":  # a noisy copy of an earlier column, so some statements are rejected
+            values[:, j] = values[:, rng.integers(j)] ^ (rng.random(n) < 0.1)
+        else:
+            values[:, j] = kind == "one"
+    if missing:
+        values[rng.random((n, d)) < draw(st.sampled_from([0.05, 0.3]))] = MISSING
+    columns = tuple(draw(st.permutations(nodes)))
+    data = EventMatrix(columns, values[:, [nodes.index(c) for c in columns]])
+    return Dag(nodes, edges), data
+
+
+class TestFalsifyMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=falsify_cases(),
+        n_perm=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        alpha_ci=st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]),
+    )
+    def test_identical_verdicts(self, case, n_perm, seed, alpha_ci):
+        g, data = case
+        got = falsify(g, data, n_perm=n_perm, alpha_ci=alpha_ci, seed=seed)
+        assert got.to_json() == reference_falsify(g, data, n_perm=n_perm, alpha_ci=alpha_ci, seed=seed).to_json()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=falsify_cases(missing=True), n_perm=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_identical_verdicts_or_errors_on_incomplete_data(self, case, n_perm, seed):
+        g, data = case
+        assert verdict_or_error(falsify, g, data, n_perm=n_perm, seed=seed) == verdict_or_error(
+            reference_falsify, g, data, n_perm=n_perm, seed=seed
+        )
+
+    def test_one_statement_per_chunk(self, monkeypatch):
+        net = preset_network("ndhb-like")
+        data = sample(net, 400, seed=3)
+        sparse = Dag(net.dag.nodes, sorted(net.dag.edges)[::2])
+        calls = []
+        g2 = citests._g2
+
+        def one_chunk(counts):
+            calls.append(len(counts))
+            return g2(counts)
+
+        monkeypatch.setattr(citests, "_g2", one_chunk)
+        monkeypatch.setattr(citests, "_COUNT_BUDGET_BYTES", 1)
+        for g in (net.dag, sparse):
+            got = falsify(g, data, n_perm=10, seed=4)
+            assert got.to_json() == reference_falsify(g, data, n_perm=10, seed=4).to_json()
+        assert calls and set(calls) == {1}
+
+
+class TestFalsifyIncompleteData:
+    def test_marginal_statements_count_pairwise_complete_rows(self):
+        # the empty graph implies only marginal statements: (x, y) is rejected on its 60
+        # complete rows; x and z are never observed together, so (x, z) is degenerate
+        rows = [[1, 1, MISSING]] * 30 + [[0, 0, MISSING]] * 30 + [[MISSING, 1, 0]] * 5
+        data = EventMatrix(("x", "y", "z"), np.array(rows, dtype=np.int8))
+        g = Dag(("x", "y", "z"), [])
+        verdict = falsify(g, data, n_perm=4, seed=0)
+        assert (verdict.n_statements, verdict.v_given) == (3, 1)
+        assert verdict.to_json() == reference_falsify(g, data, n_perm=4, seed=0).to_json()
+
+    def test_conditional_statements_require_complete_data(self):
+        rows = np.zeros((50, 4), dtype=np.int8)
+        rows[7, 3] = MISSING  # in a column no statement of the chain reads
+        data = EventMatrix(("a", "b", "c", "d"), rows)
+        chain = Dag(("a", "b", "c"), [("a", "b"), ("b", "c")])
+        with pytest.raises(ValueError, match="conditional tests require complete data"):
+            falsify(chain, data, n_perm=3, seed=0)
 
 
 class TestConsensus:

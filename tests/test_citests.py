@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import causalchron
 from causalchron.dataset import MISSING, ContingencyTable, EventMatrix, contingency, joint_counts
-from causalchron.discovery import ci_test_g2, fisher_exact
-from causalchron.discovery.citests import MIN_STRATUM_ROWS
+from causalchron.discovery import ci_test_g2, citests, fisher_exact
+from causalchron.discovery.citests import MIN_STRATUM_ROWS, g2_tests
 
 
 def matrix(labels, values):
@@ -149,6 +149,45 @@ class TestG2MatchesLoop:
         else:
             assert res.statistic == statistic
             assert res.df == df
+
+
+class TestG2TestsMatchOneAtATime:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        n_z=st.integers(0, 3),
+        n_tests=st.integers(1, 12),
+        missing=st.booleans(),
+        budget=st.sampled_from([1, 2**10, 2**18]),
+    )
+    def test_bit_identical_to_ci_test_g2(self, seed, n, n_z, n_tests, missing, budget):
+        rng = np.random.default_rng(seed)
+        d = 6
+        values = (rng.random((n, d)) < rng.uniform(0.1, 0.9, size=d)).astype(np.int8)
+        if missing:
+            # only marginal statements accept missing cells; they count pairwise-complete rows
+            n_z = 0
+            values[rng.random((n, d)) < 0.25] = MISSING
+        m = matrix([f"c{j}" for j in range(d)], values)
+        cols = [list(rng.permutation(d)[: n_z + 2]) for _ in range(n_tests)]
+        patterns, multiplicity = np.unique(values, axis=0, return_counts=True)
+        original = citests._COUNT_BUDGET_BYTES
+        citests._COUNT_BUDGET_BYTES = budget
+        try:
+            statistic, df, p = g2_tests(patterns, multiplicity.astype(np.float64), cols)
+        finally:
+            citests._COUNT_BUDGET_BYTES = original
+        for s, c in enumerate(cols):
+            labels = [m.columns[j] for j in c]
+            res = ci_test_g2(m, labels[-2], labels[-1], labels[:-2])
+            assert (statistic[s], df[s], p[s]) == (res.statistic, res.df, res.p_value)
+
+    def test_conditional_statements_require_complete_rows(self):
+        rows = np.array([[1, 1, MISSING], [0, 0, 1]], dtype=np.int8)
+        g2_tests(rows, np.ones(2), [[0, 1]])  # marginal: fine
+        with pytest.raises(ValueError, match="complete"):
+            g2_tests(rows, np.ones(2), [[2, 0, 1]])
 
 
 class TestFisherExact:

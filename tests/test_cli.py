@@ -192,6 +192,22 @@ class TestFalsifyCommand:
         assert len(doc["baseline"]) == 10
 
 
+    def test_raw_reads_with_a_missing_cell_exit_1(self, tmp_path, capsys):
+        from causalchron.pipeline import ScenarioSpec, simulate
+
+        m, _ = simulate(ScenarioSpec(preset="chain-4", n_rows=300, missing_rate=0.1, seed=0))
+        assert not m.is_complete
+        data = tmp_path / "raw.csv"
+        save_reads(m, data)
+        dag_path = tmp_path / "dag.edges"
+        write_dag(
+            Dag(("x1", "x2", "x3", "x4"), [("x1", "x2"), ("x2", "x3"), ("x3", "x4")]),
+            dag_path,
+        )
+        code = main(["falsify", "--dag", str(dag_path), "--data", str(data), "--perms", "3"])
+        assert code == 1
+        assert "conditional tests require complete data" in capsys.readouterr().err
+
     def test_negative_perms_exit_1(self, chain_data, tmp_path, capsys):
         dag_path = tmp_path / "dag.edges"
         write_dag(Dag(("x1", "x2", "x3", "x4"), [("x1", "x2")]), dag_path)
