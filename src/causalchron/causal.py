@@ -351,38 +351,26 @@ def _refit_plan(
 
 
 def _refit_tables(
-    sub: Dag, values: np.ndarray, rows: np.ndarray, ess: float
+    sub: Dag, patterns: np.ndarray, counts: np.ndarray, ess: float
 ) -> dict[str, np.ndarray]:
-    """The table P(node | parents) of every node of ``sub``, refitted on each row set of ``rows``.
+    """The table P(node | parents) of every node of ``sub``, refitted on each draw's pattern counts.
 
-    ``values`` holds the columns of ``sub.nodes`` in that order and
-    ``rows`` one row set per draw, shape (D, size); a single draw of all
-    rows, ``np.arange(n)[None]``, is a plain refit.  Each row is keyed once
-    by the index of its distinct pattern over these columns, every draw is
-    counted in one bincount over (draw, pattern), and each node's
-    (parents, node) counts are summed from those pattern counts, so memory
-    is D x min(n, 2^|sub|).  The tables have shape ``(D,) + (2,) * (k + 1)``.
+    ``patterns`` holds distinct rows over the columns of ``sub.nodes`` in
+    that order (a pattern may repeat; its counts add up), and ``counts``
+    one row of pattern counts per draw, shape (D, n_patterns).  Each
+    node's (parents, node) counts are summed from the pattern counts of
+    every draw in one bincount, so memory is D x n_patterns.  The tables
+    have shape ``(D,) + (2,) * (k + 1)``.
     """
-    # the key of the columns so far is dense (below n), so packing at most 32
-    # more bits onto it stays within int64 however wide the sub-DAG is
-    key = np.zeros(len(values), dtype=np.int64)
-    for start in range(0, values.shape[1], 32):
-        cols = range(start, min(start + 32, values.shape[1]))
-        key = np.unique((key << len(cols)) | assignment_index(values, cols), return_inverse=True)[1]
-    last = np.empty(key.max() + 1, dtype=np.intp)
-    last[key] = np.arange(len(key))  # the last row of each pattern
-    patterns = values[last]
-    n_draws, n_patterns = len(rows), len(patterns)
-    draw = np.arange(n_draws)[:, None]
-    pattern_counts = np.bincount((draw * n_patterns + key[rows]).ravel(), minlength=n_draws * n_patterns)
+    draw = np.arange(len(counts))[:, None]
     tables = {}
     for n in sub.nodes:
         ps = sub.parents(n)
         cells = 2 << len(ps)
         local = assignment_index(patterns, [sub._index[v] for v in (*ps, n)])
         # float64 sums of integer counts below 2**53 are exact
-        counts = np.bincount((draw * cells + local).ravel(), weights=pattern_counts, minlength=n_draws * cells)
-        tables[n] = _conditional_table(_cpt_from_counts(counts.reshape(n_draws, -1, 2), ess), len(ps))
+        joint = np.bincount((draw * cells + local).ravel(), weights=counts.ravel(), minlength=len(counts) * cells)
+        tables[n] = _conditional_table(_cpt_from_counts(joint.reshape(len(counts), -1, 2), ess), len(ps))
     return tables
 
 
@@ -402,13 +390,17 @@ def refute(
     random_common_cause: an unrelated coin column added as a parent of both
     treatment and outcome must leave the estimate unchanged.
 
-    Each kind only builds its perturbation: the matrix, the DAG and the
-    row sets to refit on (one draw of all rows, or the subset draws).  All
-    kinds share one refit: the CPTs of the ancestral closure of treatment
-    and outcome are counted for every draw at once (:func:`_refit_tables`),
-    one elimination with a leading draw axis gives the estimand's table per
-    draw, and the refuted value is the mean estimate over the draws.  The
-    result is the same as refitting the whole network per draw.
+    Each kind only builds its perturbation of the distinct rows
+    (``data.row_patterns``), their counts per draw and the DAG.  Subset
+    counts the pattern ids of each draw's rows; placebo and random common
+    cause double the patterns on the coin (treatment set to it, or a coin
+    column appended) and count one draw of the ids ``id + n_patterns *
+    coin``.  No row is sorted.  All kinds share one refit: the CPTs of the
+    ancestral closure of treatment and outcome are counted for every draw
+    at once (:func:`_refit_tables`), one elimination with a leading draw
+    axis gives the estimand's table per draw, and the refuted value is the
+    mean estimate over the draws.  The result is the same as refitting the
+    whole network per draw on the perturbed matrix.
 
     Every kind raises ``KeyError`` naming the first node of the DAG that
     ``data`` lacks, before it builds its perturbation.
@@ -417,32 +409,42 @@ def refute(
         data.column_index(node)
     x, y = estimate.treatment, estimate.outcome
     rng = np.random.default_rng(spawn_seed(seed, "refute", kind, x, y))
-    dag, all_rows = bn.dag, np.arange(data.n_rows)[None]
+    dag, columns = bn.dag, data.columns
+    patterns, ids, _ = data.row_patterns
+    n_patterns = len(patterns)
+    # placebo and random common cause count one draw of all rows over the patterns
+    # doubled on the coin: a row counts under its pattern id plus n_patterns * coin
+    coin_bit = np.repeat(np.array([0, 1], dtype=np.int8), n_patterns)
 
     if kind == "placebo":
-        values = data.values.copy()
         xi = data.column_index(x)
-        p_x = float((values[:, xi] == 1).mean())
-        values[:, xi] = (rng.random(data.n_rows) < p_x).astype(np.int8)
-        data, rows, center, tol = data.replace_values(values), all_rows, 0.0, ABS_TOLERANCE
+        p_x = float((data.values[:, xi] == 1).mean())
+        coin = rng.random(data.n_rows) < p_x
+        patterns = np.concatenate([patterns, patterns])
+        patterns[:, xi] = coin_bit
+        center, tol = 0.0, ABS_TOLERANCE
     elif kind == "subset":
         size = int(np.ceil(SUBSET_FRACTION * data.n_rows))
         rows = np.stack([rng.choice(data.n_rows, size=size, replace=False) for _ in range(SUBSET_DRAWS)])
+        counts = np.stack([np.bincount(ids[r], minlength=n_patterns) for r in rows])
         center, tol = estimate.value, SUBSET_REL_TOLERANCE * abs(estimate.value) + SUBSET_ABS_TOLERANCE
     elif kind == "random_common_cause":
         label = "__random_common_cause__"
-        coin = (rng.random(data.n_rows) < 0.5).astype(np.int8)
-        data = EventMatrix(data.columns + (label,), np.column_stack([data.values, coin]), data.provenance)
-        dag = Dag(data.columns, set(dag.edges) | {(label, x), (label, y)})
-        rows, center, tol = all_rows, estimate.value, ABS_TOLERANCE
+        coin = rng.random(data.n_rows) < 0.5
+        patterns = np.column_stack([np.concatenate([patterns, patterns]), coin_bit])
+        columns = columns + (label,)
+        dag = Dag(columns, set(dag.edges) | {(label, x), (label, y)})
+        center, tol = estimate.value, ABS_TOLERANCE
     else:
         raise ValueError(f"unknown refutation kind {kind!r}; expected one of {REFUTATION_KINDS}")
+    if kind != "subset":
+        counts = np.bincount(ids + n_patterns * coin, minlength=2 * n_patterns)[None]
 
-    _require_fittable(data.values, ess)
+    _require_fittable(patterns, ess)
     sub, order, read = _refit_plan(dag, x, y, estimate.estimand_kind)
-    values = data.values[:, [data.column_index(n) for n in sub.nodes]]
-    t = marginal(sub, _refit_tables(sub, values, rows, ess), order, draws=True)
-    refuted = float(np.mean([read(t[d]) for d in range(len(rows))]))
+    sub_patterns = patterns[:, [columns.index(n) for n in sub.nodes]]
+    t = marginal(sub, _refit_tables(sub, sub_patterns, counts, ess), order, draws=True)
+    refuted = float(np.mean([read(t[d]) for d in range(len(counts))]))
     return RefutationResult(kind, refuted, abs(refuted - center) <= tol, tol)
 
 

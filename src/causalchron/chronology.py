@@ -29,7 +29,7 @@ from .bayesnet import (
     topological_levels,
 )
 from .causal import CausalRelationTable, RelationRow
-from .dataset import ContingencyTable, EventMatrix, contingency
+from .dataset import ContingencyTable, EventMatrix, contingency, distinct_rows
 from .discovery.citests import (
     ci_test_g2,  # noqa: F401  unused here; perfbench/tracer.py patches chronology.ci_test_g2 by name
     fisher_exact,
@@ -345,13 +345,6 @@ class FalsificationVerdict:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First index, inverse index and count of each distinct row of a 2-D array."""
-    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
-    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
-    return first, inverse.reshape(-1), counts
-
-
 def _rejection_counts(
     statements: list[CiStatement], nodes: tuple[str, ...], perms: np.ndarray, data: EventMatrix, alpha_ci: float
 ) -> np.ndarray:
@@ -379,15 +372,15 @@ def _rejection_counts(
     for i, s in enumerate(statements):
         z[i, [pos[v] for v in s.z]] = True
     z = z[:, np.argsort(perms, axis=1)].swapaxes(0, 1)
-    first, ids, _ = _distinct_rows(
+    first, ids, _ = distinct_rows(
         np.concatenate([np.minimum(x, y)[..., None], np.maximum(x, y)[..., None], z], axis=2).reshape(-1, d + 2)
     )
     x, y, z = x.ravel()[first], y.ravel()[first], z.reshape(-1, d)[first]
 
     by_label = np.array(sorted(range(d), key=lambda i: nodes[i]))
     col = np.array([data.column_index(v) for v in nodes])
-    pattern_rows, _, multiplicity = _distinct_rows(data.values)
-    patterns, weights = data.values[pattern_rows], multiplicity.astype(np.float64)
+    patterns, _, multiplicity = data.row_patterns
+    weights = multiplicity.astype(np.float64)
     size = z.sum(axis=1)
     rejected = np.empty(len(first), dtype=bool)
     for k in np.unique(size):
@@ -428,8 +421,9 @@ def falsify(
     ``citests._COUNT_BUDGET_BYTES`` (64 KiB), so memory beyond the data
     stays at the (relabelings x statements x nodes) statement keys, one
     byte each for up to 255 nodes, plus one chunk.  Marginal statements
-    count pairwise-complete rows; any statement with a non-empty
-    conditioning set requires complete data.
+    count pairwise-complete rows; a statement with a non-empty
+    conditioning set requires its own columns to be complete, so a missing
+    cell in a column no such statement reads changes nothing.
     """
     if n_perm < 0:
         raise ValueError("n_perm must be non-negative")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +24,9 @@ __all__ = [
     "EventMatrix",
     "ContingencyTable",
     "MissingnessProfile",
+    "RowPatterns",
     "UnknownTokenError",
+    "distinct_rows",
     "load_reads",
     "save_reads",
     "assignment_index",
@@ -72,6 +75,35 @@ class TokenSchema:
 
 #: canonical tokens used on re-serialization (Err is an input-only alias of 0)
 _CANONICAL = {1: "True", 0: "False", MISSING: "NaN"}
+
+
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, inverse index and count of each distinct row of a 2-D array.
+
+    The distinct rows come in lexicographic order of their values, first
+    column first.  A block with no columns has one distinct row (the empty
+    one) when it has rows.
+    """
+    if a.shape[1] == 0:
+        a = np.zeros((a.shape[0], 1), dtype=np.int8)
+    # a stable sort keeps the rows of one pattern in their original order, so the
+    # first row of each run is the pattern's first occurrence
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    return order[starts], inverse, np.diff(np.append(starts, len(a)))
+
+
+class RowPatterns(NamedTuple):
+    """The distinct rows of a matrix and the pattern id of each of its rows."""
+
+    rows: np.ndarray  # (n_patterns, n_cols), in the order of ``distinct_rows``
+    ids: np.ndarray  # (n_rows,): rows[ids] is the matrix
+    counts: np.ndarray  # (n_patterns,): the number of rows of each pattern
 
 
 @dataclass(frozen=True)
@@ -126,6 +158,15 @@ class EventMatrix:
 
     def column(self, label: str) -> np.ndarray:
         return self.values[:, self.column_index(label)]
+
+    @cached_property
+    def row_patterns(self) -> RowPatterns:
+        """The distinct rows and each row's pattern id, computed once per matrix."""
+        first, ids, counts = distinct_rows(self.values)
+        patterns = RowPatterns(self.values[first], ids, counts)
+        for a in patterns:
+            a.flags.writeable = False
+        return patterns
 
     def replace_values(self, values: np.ndarray, provenance: str | None = None) -> "EventMatrix":
         return EventMatrix(
@@ -197,9 +238,11 @@ def load_reads(path: str | Path, schema: TokenSchema | None = None) -> EventMatr
     """Parse a delimited text table of event observations.
 
     The first line holds the column labels; the delimiter (comma or tab) is
-    auto-detected from it.  Cell tokens are decoded through ``schema``;
-    anything outside the schema raises :class:`UnknownTokenError` with the
-    offending row and column.
+    auto-detected from it.  Blank lines are skipped.  Cell tokens are
+    decoded through ``schema``; anything outside the schema raises
+    :class:`UnknownTokenError` with the offending row and column.  Each
+    distinct data line is decoded once, in the order of its first
+    occurrence, so an error names the first bad row of the file.
     """
     schema = schema or TokenSchema()
     path = Path(path)
@@ -215,29 +258,35 @@ def load_reads(path: str | Path, schema: TokenSchema | None = None) -> EventMatr
     data_lines = [ln for ln in lines[1:] if ln.strip() != ""]
     if not data_lines:
         raise ValueError(f"{path}: no rows")
-    values = np.empty((len(data_lines), len(columns)), dtype=np.int8)
-    for i, line in enumerate(data_lines):
+    pattern_of = {line: i for i, line in enumerate(dict.fromkeys(data_lines))}
+    decoded = np.empty((len(pattern_of), len(columns)), dtype=np.int8)
+    for i, line in enumerate(pattern_of):
         cells = line.split(delimiter)
         if len(cells) != len(columns):
-            raise ValueError(f"{path}: row {i + 1} has {len(cells)} cells, expected {len(columns)}")
+            raise ValueError(
+                f"{path}: row {data_lines.index(line) + 1} has {len(cells)} cells, expected {len(columns)}"
+            )
         for j, cell in enumerate(cells):
             try:
-                values[i, j] = schema.decode(cell.strip())
+                decoded[i, j] = schema.decode(cell.strip())
             except UnknownTokenError:
                 raise UnknownTokenError(
-                    f"{path}: unknown token {cell.strip()!r} at row {i + 1}, column {columns[j]!r}"
+                    f"{path}: unknown token {cell.strip()!r} at row {data_lines.index(line) + 1}, "
+                    f"column {columns[j]!r}"
                 ) from None
-    return EventMatrix(tuple(columns), values, provenance=str(path), delimiter=delimiter)
+    ids = np.fromiter(map(pattern_of.__getitem__, data_lines), dtype=np.intp, count=len(data_lines))
+    return EventMatrix(tuple(columns), decoded[ids], provenance=str(path), delimiter=delimiter)
 
 
 def save_reads(m: EventMatrix, path: str | Path) -> None:
     """Write ``m`` using canonical tokens; inverse of :func:`load_reads`.
 
-    A file containing only canonical tokens round-trips bit-exactly.
+    A file containing only canonical tokens round-trips bit-exactly.  Each
+    distinct row (``m.row_patterns``) is formatted once.
     """
-    lines = [m.delimiter.join(m.columns)]
-    for row in m.values:
-        lines.append(m.delimiter.join(_CANONICAL[int(v)] for v in row))
+    patterns = m.row_patterns
+    formatted = [m.delimiter.join(_CANONICAL[v] for v in row) for row in patterns.rows.tolist()]
+    lines = [m.delimiter.join(m.columns), *map(formatted.__getitem__, patterns.ids.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

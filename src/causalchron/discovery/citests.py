@@ -41,8 +41,10 @@ def ci_test_g2(
     degrees of freedom reduced accordingly; if every stratum is skipped
     the result is degenerate with p = 1.  With an empty conditioning set
     the test runs on pairwise-complete rows, so marginal tests work on
-    matrices that still contain missing cells.  The statistic is
-    ``_g2``, the one ``g2_tests`` computes for many statements at once.
+    matrices that still contain missing cells; a conditional test requires
+    complete x, y and z columns, and ignores missing cells elsewhere.  The
+    statistic is ``_g2``, the one ``g2_tests`` computes for many statements
+    at once.
     """
     xi = data.column_index(x)
     yi = data.column_index(y)
@@ -51,7 +53,7 @@ def ci_test_g2(
         raise ValueError("x, y and z must be disjoint")
     values = data.values
     if zi:
-        if not data.is_complete:
+        if (values[:, zi + [xi, yi]] == MISSING).any():
             raise ValueError("conditional tests require complete data")
     else:
         keep = (values[:, xi] != MISSING) & (values[:, yi] != MISSING)
@@ -83,13 +85,13 @@ def g2_tests(
     every in-range index, so a row missing any of a statement's cells
     lands in that statement's discard bin, and a marginal statement counts
     its pairwise-complete rows, as ``ci_test_g2`` does.  Statements with a
-    non-empty conditioning set require complete rows.  A chunk's packed
-    index takes about ``_COUNT_BUDGET_BYTES``.
+    non-empty conditioning set require the columns they read to be
+    complete.  A chunk's packed index takes about ``_COUNT_BUDGET_BYTES``.
     """
     cols = np.asarray(cols, dtype=np.intp)
     n_tests, width = cols.shape
     missing = rows == MISSING
-    if width > 2 and missing.any():
+    if width > 2 and missing[:, np.unique(cols)].any():
         raise ValueError("conditional tests require complete data")
     n_cells = 1 << width
     packed = rows.astype(np.float64)

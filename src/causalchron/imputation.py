@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .bayesnet import Dag, DiscreteBayesNet, fit_cpts
-from .dataset import MISSING, EventMatrix, assignment_index
+from .dataset import MISSING, EventMatrix, assignment_index, distinct_rows
 
 __all__ = [
     "ImputationResult",
@@ -69,9 +69,9 @@ def _mode_impute(values: np.ndarray) -> np.ndarray:
     return out
 
 
-# Size budget of one (patterns x pool) float64 key temporary; a chunk holds
-# at least one row.  Rows are independent, so chunking never changes the
-# result, only peak memory.
+# Size budget of one (target patterns x kept pool rows) float64 key
+# temporary; a chunk holds at least one row.  Rows are independent, so
+# chunking never changes the result, only peak memory.
 _KEY_BUDGET_BYTES = 32 * 2**20
 
 
@@ -85,31 +85,42 @@ def _knn_majority(
     Hamming distance on binary blocks reduces to |a| + |b| - 2 a.b, so the
     distance matrix comes from one matmul; neighbor sets are selected on the
     composite key distance * n_pool + index, which is unique per pool row
-    and therefore deterministic.  Majority ties resolve to 0.  A block with
-    no columns gives every pool row distance 0, so the first k pool rows
-    vote.
+    and therefore deterministic.  Rows of one pool pattern are equally far
+    from every target, so under that key a row can be among a target's k
+    nearest only if it is among the first k rows of its pattern: only those
+    rows enter the key matrix, each keyed by its original pool index.
+    Majority ties resolve to 0.  A block with no columns gives every pool
+    row distance 0, so the first k pool rows vote.
 
-    Cost is O(n_patterns x n_pool) time, where n_patterns is at most
-    2 ** n_cols and at most the number of target rows; the key matrix is
-    built in row chunks of about ``_KEY_BUDGET_BYTES`` each.
+    Cost is O(n_target_patterns x n_pool_patterns x k) time, where each
+    pattern count is at most 2 ** n_cols and at most the number of its rows;
+    the key matrix is built in row chunks of about ``_KEY_BUDGET_BYTES``
+    each.
     """
     n_pool = pool_block.shape[0]
     kk = min(k, n_pool)
-    patterns, inverse = np.unique(target_block, axis=0, return_inverse=True)
-    tf = patterns.astype(np.float64)
-    pf = pool_block.astype(np.float64)
+    _, pool_ids, pool_counts = distinct_rows(pool_block)
+    # each pool row's rank among the rows of its pattern, in pool order
+    by_pattern = np.argsort(pool_ids, kind="stable")
+    rank = np.empty(n_pool, dtype=np.intp)
+    rank[by_pattern] = np.arange(n_pool) - np.repeat(np.cumsum(pool_counts) - pool_counts, pool_counts)
+    kept = np.flatnonzero(rank < kk)
+    first, inverse, _ = distinct_rows(target_block)
+    tf = target_block[first].astype(np.float64)
+    pf = pool_block[kept].astype(np.float64)
     ones_t = tf.sum(axis=1, keepdims=True)
     ones_p = pf.sum(axis=1)
-    index_term = np.arange(n_pool, dtype=np.float64)[None, :]
-    out = np.empty(patterns.shape[0], dtype=np.int8)
-    chunk = max(1, _KEY_BUDGET_BYTES // (8 * n_pool))
-    for lo in range(0, patterns.shape[0], chunk):
-        hi = min(lo + chunk, patterns.shape[0])
+    index_term = kept.astype(np.float64)[None, :]
+    kept_votes = pool_votes[kept]
+    out = np.empty(len(first), dtype=np.int8)
+    chunk = max(1, _KEY_BUDGET_BYTES // (8 * len(kept)))
+    for lo in range(0, len(first), chunk):
+        hi = min(lo + chunk, len(first))
         keys = (ones_t[lo:hi] + ones_p[None, :] - 2.0 * (tf[lo:hi] @ pf.T)) * n_pool + index_term
         nearest = np.argpartition(keys, kk - 1, axis=1)[:, :kk]
-        votes = pool_votes[nearest]
+        votes = kept_votes[nearest]
         out[lo:hi] = ((votes == 1).sum(axis=1) * 2 > kk).astype(np.int8)
-    return out[inverse.reshape(-1)]  # numpy 2.0.0 returns the inverse as a column
+    return out[inverse]
 
 
 def _round_robin_impute(values: np.ndarray, k: int = 25, sweeps: int = 3) -> np.ndarray:
@@ -121,10 +132,10 @@ def _round_robin_impute(values: np.ndarray, k: int = 25, sweeps: int = 3) -> np.
     processed, so later columns (and later sweeps) see more context.
     Sweeps stop early once a full pass changes nothing.
 
-    Each column costs O(n_patterns x n_pool) time, where n_patterns is the
-    number of distinct context patterns among its missing rows (at most
-    2 ** (d - 1)), and memory linear in the rows plus a bounded key chunk
-    (see ``_knn_majority``).
+    Each column costs O(n_target_patterns x n_pool_patterns x k) time, where
+    the pattern counts are those of the distinct context patterns among its
+    missing and its observed rows (each at most 2 ** (d - 1)), and memory
+    linear in the rows plus a bounded key chunk (see ``_knn_majority``).
     """
     work = values.copy()
     missing_mask = values == MISSING

@@ -347,6 +347,24 @@ class TestRefutations:
             if not isinstance(estimate, str):
                 assert_refutes_like_reference(bn, data, estimate, net_seed % 97, ess)
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(400, 1500), st.sampled_from([0.0, 1.0]))
+    def test_duplicate_heavy_data_matches_whole_network_refits(self, net_seed, d, n, ess):
+        # at most 2^4 distinct rows among hundreds: every refit counts pattern ids,
+        # and the placebo and random common cause refits count the patterns doubled
+        # on the coin; the reference refits the explicitly perturbed matrix
+        rng = np.random.default_rng(net_seed)
+        truth = random_network(rng, d)
+        data = sample(truth, n, seed=net_seed)
+        assert len(data.row_patterns.rows) <= 2**d < n
+        bn = fit_cpts(truth.dag, data, ess=ess)
+        for x, y in bn.dag.sorted_edges():
+            estimate = outcome_or_raise(
+                lambda: nde(bn, x, y) if mediators(bn.dag, x, y) else ace(bn, x, y)
+            )
+            if not isinstance(estimate, str):
+                assert_refutes_like_reference(bn, data, estimate, net_seed % 89, ess)
+
     def test_positivity_failure_raises_like_whole_network_refits(self):
         # x copies z: every refit of the (x, y) estimand that keeps the data's
         # x raises at ess=0, the placebo refit (x redrawn) does not
@@ -368,17 +386,20 @@ class TestRefutations:
         st.sampled_from([0.0, 1.0]),
     )
     def test_batched_tables_equal_per_draw_marginals(self, net_seed, d, n, ess):
-        # the subset draws are counted together and contracted with a leading
-        # draw axis; each slice must be the marginal of that draw's refit, bit for bit
+        # the subset draws are counted together, as counts of the data's row
+        # patterns, and contracted with a leading draw axis; each slice must be
+        # the marginal of that draw's refit, bit for bit
         rng = np.random.default_rng(net_seed)
         truth = random_network(rng, d)
         data = sample(truth, n, seed=net_seed)
         rows = np.stack([rng.choice(n, size=max(1, n - 3), replace=False) for _ in range(SUBSET_DRAWS)])
+        patterns, ids, _ = data.row_patterns
+        counts = np.stack([np.bincount(ids[r], minlength=len(patterns)) for r in rows])
         for x, y in truth.dag.sorted_edges():
             kind = "NDE" if mediators(truth.dag, x, y) else "ACE"
             sub, order, _ = _refit_plan(truth.dag, x, y, kind)
-            values = data.values[:, [data.column_index(v) for v in sub.nodes]]
-            batched = marginal(sub, _refit_tables(sub, values, rows, ess), order, draws=True)
+            values = patterns[:, [data.column_index(v) for v in sub.nodes]]
+            batched = marginal(sub, _refit_tables(sub, values, counts, ess), order, draws=True)
             per_draw = np.stack(
                 [fit_cpts(sub, data.replace_values(data.values[r]), ess=ess).marginal(order) for r in rows]
             )

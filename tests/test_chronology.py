@@ -459,13 +459,31 @@ class TestFalsifyIncompleteData:
         assert (verdict.n_statements, verdict.v_given) == (3, 1)
         assert verdict.to_json() == reference_falsify(g, data, n_perm=4, seed=0).to_json()
 
-    def test_conditional_statements_require_complete_data(self):
-        rows = np.zeros((50, 4), dtype=np.int8)
+    CHAIN = Dag(("a", "b", "c"), [("a", "b"), ("b", "c")])
+
+    @staticmethod
+    def chain_rows():
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 2, 200)
+        b = np.where(rng.random(200) < 0.8, a, 1 - a)
+        c = np.where(rng.random(200) < 0.8, b, 1 - b)
+        return np.column_stack([a, b, c, rng.integers(0, 2, 200)]).astype(np.int8)
+
+    def test_missing_cell_in_an_unread_column_changes_nothing(self):
+        rows = self.chain_rows()
         rows[7, 3] = MISSING  # in a column no statement of the chain reads
         data = EventMatrix(("a", "b", "c", "d"), rows)
-        chain = Dag(("a", "b", "c"), [("a", "b"), ("b", "c")])
+        without_d = EventMatrix(("a", "b", "c"), rows[:, :3])
+        got = falsify(self.CHAIN, data, n_perm=6, seed=0)
+        assert got == falsify(self.CHAIN, without_d, n_perm=6, seed=0)
+        assert got.to_json() == reference_falsify(self.CHAIN, data, n_perm=6, seed=0).to_json()
+
+    def test_missing_cell_in_a_read_column_still_raises(self):
+        rows = self.chain_rows()
+        rows[7, 2] = MISSING  # c, which the statement a _||_ c | b reads
+        data = EventMatrix(("a", "b", "c", "d"), rows)
         with pytest.raises(ValueError, match="conditional tests require complete data"):
-            falsify(chain, data, n_perm=3, seed=0)
+            falsify(self.CHAIN, data, n_perm=3, seed=0)
 
 
 class TestConsensus:

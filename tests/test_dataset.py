@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from causalchron.dataset import (
     MISSING,
@@ -10,6 +11,7 @@ from causalchron.dataset import (
     UnknownTokenError,
     contingency,
     cooccurrence_counts,
+    distinct_rows,
     exclude_events,
     joint_counts,
     load_reads,
@@ -81,6 +83,86 @@ class TestLoadReads:
     def test_schema_rejects_overlap(self):
         with pytest.raises(ValueError, match="disjoint"):
             TokenSchema(ones=frozenset({"x"}), zeros=frozenset({"x"}), missing=frozenset())
+
+
+def reference_load(text, schema=TokenSchema()):
+    """(columns, values) of a file parsed one data line at a time."""
+    lines = text.splitlines()
+    columns = [c.strip() for c in lines[0].split(",")]
+    data_lines = [ln for ln in lines[1:] if ln.strip() != ""]
+    values = [[schema.decode(cell.strip()) for cell in ln.split(",")] for ln in data_lines]
+    return tuple(columns), np.array(values, dtype=np.int8)
+
+
+#: a few data lines of a three-column file, some decoding alike ("Err" is 0, padding is stripped)
+LINES = ["True,Err,NaN", "False,True,", "True,False,NaN", " True , Err,NaN", "False,False,False", "", "  "]
+
+
+class TestLoadDistinctLines:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(LINES), min_size=1, max_size=80).filter(lambda ls: any(ln.strip() for ln in ls)))
+    def test_repeated_and_blank_lines_load_as_per_line_reference(self, tmp_path_factory, lines):
+        text = "a,b,c\n" + "\n".join(lines) + "\n"
+        m = load_reads(write(tmp_path_factory.mktemp("reads"), text))
+        columns, values = reference_load(text)
+        assert m.columns == columns
+        assert np.array_equal(m.values, values)
+
+    @pytest.mark.parametrize(
+        "text, error, row",
+        [
+            # a bad line that repeats after a repeated good one: the first bad row is its
+            # first occurrence, not its index among the distinct lines
+            ("a,b\nTrue,False\nTrue,False\nTrue,maybe\nFalse,False\nTrue,maybe\n", UnknownTokenError, 3),
+            ("a,b\nTrue,False\n\nTrue,False\nTrue\nTrue,False\nTrue\n", ValueError, 3),
+            # earlier distinct lines are fine, and a later bad line of the other kind repeats
+            ("a,b\nTrue,False\nFalse,True\nTrue,False\nFalse,True,True\nTrue,nope\nFalse,True,True\n", ValueError, 4),
+            ("a,b\nTrue,False\nTrue,False\nFalse,True\nTrue,nope\nFalse,True,True\nTrue,nope\n", UnknownTokenError, 4),
+        ],
+    )
+    def test_errors_name_the_first_bad_row(self, tmp_path, text, error, row):
+        with pytest.raises(error, match=rf"row {row}\b"):
+            load_reads(write(tmp_path, text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.int8, st.tuples(st.integers(1, 5), st.integers(1, 6)), elements=st.sampled_from([0, 1, MISSING])),
+        st.lists(st.integers(0, 4), min_size=1, max_size=200),
+        st.sampled_from([",", "\t"]),
+    )
+    def test_duplicated_matrices_round_trip(self, tmp_path_factory, base, picks, delimiter):
+        values = base[[p % len(base) for p in picks]]
+        m = EventMatrix(tuple(f"e{j}" for j in range(values.shape[1])), values, delimiter=delimiter)
+        path = tmp_path_factory.mktemp("reads") / "reads.csv"
+        save_reads(m, path)
+        token = {1: "True", 0: "False", MISSING: "NaN"}
+        want = [delimiter.join(m.columns)] + [delimiter.join(token[v] for v in row) for row in values.tolist()]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+        back = load_reads(path)
+        # a one-column file has no delimiter to detect
+        assert back.columns == m.columns and back.delimiter == (delimiter if values.shape[1] > 1 else ",")
+        assert np.array_equal(back.values, values)
+
+
+class TestDistinctRows:
+    @given(arrays(np.int8, st.tuples(st.integers(0, 40), st.integers(0, 4)), elements=st.sampled_from([0, 1, MISSING])))
+    def test_first_inverse_and_counts(self, a):
+        first, inverse, counts = distinct_rows(a)
+        assert np.array_equal(a[first][inverse], a)
+        assert np.array_equal(counts, np.bincount(inverse, minlength=len(first)))
+        assert len({row.tobytes() for row in a[first]}) == len(first)
+        assert all((a[:f] != a[f]).any(axis=1).all() for f in first)  # no earlier row repeats it
+        if a.shape[1] == 0:
+            assert len(first) == min(len(a), 1)
+
+    def test_row_patterns_are_cached_and_read_only(self):
+        m = EventMatrix(("a", "b"), np.array([[1, 0], [0, 0], [1, 0]], dtype=np.int8))
+        patterns = m.row_patterns
+        assert m.row_patterns is patterns
+        assert np.array_equal(patterns.rows[patterns.ids], m.values)
+        assert patterns.counts.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            patterns.ids[0] = 1
 
 
 class TestEventMatrix:

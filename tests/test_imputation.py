@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -119,6 +119,55 @@ def duplicate_heavy_matrices(draw):
         if (values[:, j] == MISSING).all():
             values[draw(st.integers(0, n - 1)), j] = draw(st.sampled_from([0, 1]))
     return values
+
+
+def reference_knn_majority(target_block, pool_block, pool_votes, k):
+    """Vote of each target row over the whole pool sorted by (Hamming distance, pool index)."""
+    out = np.empty(len(target_block), dtype=np.int8)
+    for t, row in enumerate(target_block):
+        dist = (pool_block != row).sum(axis=1)
+        nearest = np.lexsort((np.arange(len(pool_block)), dist))[:k]
+        out[t] = 1 if int((pool_votes[nearest] == 1).sum()) * 2 > nearest.size else 0
+    return out
+
+
+def cells(rows):
+    return np.array(rows, dtype=np.int8)
+
+
+@st.composite
+def knn_cases(draw):
+    """(target block, pool block, pool votes, k) over a few repeated pool patterns."""
+    width = draw(st.integers(0, 4))
+    base = draw(arrays(np.int8, (draw(st.integers(1, 6)), width), elements=st.sampled_from([0, 1])))
+    n_pool = draw(st.integers(1, 60))
+    pool = base[draw(arrays(np.intp, n_pool, elements=st.integers(0, len(base) - 1)))]
+    votes = draw(arrays(np.int8, n_pool, elements=st.sampled_from([0, 1])))
+    target = draw(arrays(np.int8, (draw(st.integers(1, 12)), width), elements=st.sampled_from([0, 1])))
+    return target, pool, votes, draw(st.integers(1, 12))
+
+
+class TestKnnMajority:
+    @settings(max_examples=300, deadline=None)
+    @given(knn_cases())
+    # one pool pattern repeated far more than k times, its later copies voting 1
+    @example((cells([[0, 0], [1, 1]]), cells([[0, 0]] * 3 + [[1, 1]] + [[0, 0]] * 20),
+              cells([0, 0, 0, 1] + [1] * 20), 3))
+    # the boundary distance class (distance 1) spans two interleaved pool patterns,
+    # and the vote depends on which of its rows come first
+    @example((cells([[0, 0]]), cells([[1, 0], [0, 1], [1, 0], [0, 0], [0, 1], [1, 0]]),
+              cells([1, 1, 0, 0, 0, 0]), 3))
+    # k at and beyond the pool size
+    @example((cells([[1, 0]]), cells([[1, 1], [0, 0], [1, 1]]), cells([1, 0, 1]), 3))
+    @example((cells([[1, 0]]), cells([[1, 1], [0, 0], [1, 1]]), cells([1, 0, 1]), 9))
+    # zero-width blocks: the first k pool rows vote
+    @example((np.zeros((2, 0), np.int8), np.zeros((7, 0), np.int8), cells([0, 1, 1, 0, 1, 1, 1]), 4))
+    def test_matches_full_pool_reference(self, case):
+        # only the first k rows of each pool pattern enter the key matrix; the
+        # vote must be the one of the whole pool under the (distance, index) key
+        target, pool, votes, k = case
+        got = imputation._knn_majority(target, pool, votes, k)
+        assert np.array_equal(got, reference_knn_majority(target, pool, votes, k))
 
 
 class TestRoundRobinReference:
