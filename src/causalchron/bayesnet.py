@@ -633,20 +633,6 @@ def network_doc(bn: DiscreteBayesNet) -> dict:
     }
 
 
-def network_to_json(bn: DiscreteBayesNet) -> str:
-    return json.dumps(network_doc(bn), indent=2) + "\n"
-
-
-def network_from_json(text: str) -> DiscreteBayesNet:
-    doc = json.loads(text)
-    dag = Dag(tuple(doc["nodes"]), [tuple(e) for e in doc["edges"]])
-    cpts = tuple(
-        Cpt(entry["node"], tuple(entry["parents"]), np.asarray(entry["p1_by_assignment"]))
-        for entry in doc["cpts"]
-    )
-    return DiscreteBayesNet(dag, cpts)
-
-
 def write_dag(g: Dag, path: str | Path) -> None:
     Path(path).write_text(g.to_edge_list(), encoding="utf-8")
 

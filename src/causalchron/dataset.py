@@ -199,10 +199,6 @@ class ContingencyTable:
     def as_array(self) -> np.ndarray:
         return np.array([[self.n00, self.n01], [self.n10, self.n11]], dtype=np.int64)
 
-    def swapped(self) -> "ContingencyTable":
-        """Table for the pair (b, a); n01 and n10 trade places."""
-        return ContingencyTable(self.b, self.a, self.n00, self.n10, self.n01, self.n11)
-
 
 @dataclass(frozen=True)
 class MissingnessProfile:

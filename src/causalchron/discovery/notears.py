@@ -14,6 +14,12 @@ the end; :func:`notears_lockstep` advances many problems (the cells of a
 stability-selection grid) together and evaluates the objectives of all of
 them in one stacked call per round.  Both take the same path per problem.
 
+The L-BFGS-B step ``setulb`` and ``expm`` come from
+:mod:`causalchron._scipy_kernels`, which loads only those compiled scipy
+kernels, not ``scipy.optimize`` or ``scipy.linalg``; each iterate is
+bit-identical to the one ``scipy.optimize.minimize`` and
+``scipy.linalg.expm`` would give.
+
 Columns are centered but deliberately not rescaled by default: the method
 is not invariant to variable rescaling, so changing the scale changes the
 answer.  A ``standardize`` flag exposes the alternative.
@@ -25,10 +31,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize._lbfgsb import setulb
 
 from .._coerce import check_ranges
+from .._scipy_kernels import expm, setulb
 from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
 
@@ -89,12 +94,13 @@ def acyclicity_h(w: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     h(W) = tr(exp(W o W)) - d is zero exactly when the nonzero pattern of W
     is acyclic, and positive otherwise; the gradient is exp(W o W)^T o 2W.
     A stack of matrices (K, d, d) takes one ``expm`` call and gives h as a
-    (K,) array, each slice bit-identical to its own call.
+    (K,) array, each slice bit-identical to its own call.  ``expm`` is
+    ``scipy.linalg.expm`` bit for bit (see :mod:`causalchron._scipy_kernels`).
     """
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise ValueError("W must be finite")
-    e = scipy.linalg.expm(w * w)
+    e = expm(w * w)
     h = e.trace(axis1=-2, axis2=-1) - w.shape[-1]
     return (float(h) if w.ndim == 2 else h), e.swapaxes(-1, -2) * (2.0 * w)
 

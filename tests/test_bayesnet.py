@@ -18,8 +18,6 @@ from causalchron.bayesnet import (
     local_bic,
     local_markov_statements,
     log_likelihood,
-    network_from_json,
-    network_to_json,
     query,
     reachable,
     sample,
@@ -535,14 +533,3 @@ class TestSample:
     def test_chain_marginal_converges(self, chain_ab):
         data = sample(chain_ab, 100_000, seed=1)
         assert abs(float((data.column("b") == 1).mean()) - 0.55) < 0.01
-
-
-class TestSerialization:
-    def test_network_json_round_trip(self):
-        rng = np.random.default_rng(8)
-        bn = random_network(rng, 4)
-        back = network_from_json(network_to_json(bn))
-        assert back.dag.nodes == bn.dag.nodes
-        assert back.dag.edges == bn.dag.edges
-        for n in bn.dag.nodes:
-            assert np.allclose(back.cpt(n).p1, bn.cpt(n).p1)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -219,9 +220,25 @@ class TestFisherExact:
             assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
 
     def test_package_import_leaves_scipy_stats_unloaded(self):
-        # fisher_exact imports scipy.stats itself, so start-up does not pay for it
+        # fisher_exact imports scipy.stats itself, and NOTEARS loads only the
+        # compiled kernels it calls, so start-up pays for none of these
+        # packages; importing them later binds the very kernels NOTEARS calls
         src = str(Path(causalchron.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, causalchron, causalchron.cli; print('scipy.stats' in sys.modules)"
+        code = """if True:
+            import json, sys, causalchron, causalchron.cli, causalchron.pipeline
+            unloaded = ("scipy.stats", "scipy.optimize", "scipy.linalg",
+                        "scipy.optimize._lbfgsb", "scipy.linalg._matfuncs_expm")
+            loaded = [name for name in unloaded if name in sys.modules]
+            import scipy.linalg, scipy.optimize
+            from causalchron import _scipy_kernels
+            from causalchron.discovery import notears
+            same = [
+                scipy.optimize._lbfgsb.setulb is notears.setulb,
+                scipy.linalg._matfuncs_expm.pick_pade_structure is _scipy_kernels._pade.pick_pade_structure,
+                scipy.linalg._matfuncs_expm.pade_UV_calc is _scipy_kernels._pade.pade_UV_calc,
+            ]
+            print(json.dumps({"loaded": loaded, "same": same}))
+        """
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert json.loads(out.stdout) == {"loaded": [], "same": [True, True, True]}

@@ -192,7 +192,6 @@ class TestContingency:
         t = contingency(table2_matrix, "ndhD_116494", "ndhD_116785")
         s = contingency(table2_matrix, "ndhD_116785", "ndhD_116494")
         assert (s.n00, s.n01, s.n10, s.n11) == (t.n00, t.n10, t.n01, t.n11)
-        assert t.swapped() == s
 
     def test_direct_two_row(self):
         m = EventMatrix(("a", "b"), np.array([[1, 1], [0, 0]], dtype=np.int8))

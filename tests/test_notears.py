@@ -11,6 +11,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalchron import _scipy_kernels
 from causalchron._rng import spawn_seed
 from causalchron.bayesnet import sample
 from causalchron.dataset import EventMatrix
@@ -92,6 +93,91 @@ class TestAcyclicityH:
             w[0, 1] = bad
             with pytest.raises(ValueError, match="finite"):
                 acyclicity_h(w)
+
+    def test_h_is_float_for_one_matrix_and_an_array_for_a_stack(self):
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h, _ = acyclicity_h(w)
+        stacked, grads = acyclicity_h(np.stack([w, 0 * w, w]))
+        assert type(h) is float
+        assert stacked.shape == (3,) and grads.shape == (3, 2, 2)
+        assert stacked.tolist() == [h, 0.0, h]
+
+    def test_overflow_warns_outside_the_objective(self):
+        w = np.full((3, 3), 30.0)
+        np.fill_diagonal(w, 0.0)
+        with pytest.warns(RuntimeWarning) as caught:
+            acyclicity_h(w)
+        assert any("overflow" in str(warning.message) for warning in caught)
+
+
+def _slice(rng, kind, d, scale):
+    """One (d, d) test slice: zero, diagonal, lower or upper triangular
+    (diagonal included), or generic, with entries of size ``scale``."""
+    a = rng.normal(size=(d, d)) * scale
+    return {
+        "zero": 0.0 * a,
+        "diagonal": np.diag(np.diag(a)),
+        "lower": np.tril(a),
+        "upper": np.triu(a),
+        "generic": a,
+    }[kind]
+
+
+def _scaling_power(a):
+    """The s of Al-Mohy & Higham's scaling and squaring for one slice."""
+    return _scipy_kernels._pade.pick_pade_structure(np.stack([a] + 4 * [np.zeros_like(a)]))[1]
+
+
+class TestExpm:
+    """``_scipy_kernels.expm`` must return the bytes of ``scipy.linalg.expm``
+    on every slice, alone and in a (K, d, d) stack."""
+
+    KINDS = ("zero", "diagonal", "lower", "upper", "generic")
+
+    @staticmethod
+    def assert_same_bytes(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours, theirs = _scipy_kernels.expm(a), scipy.linalg.expm(a)
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_every_kind_of_slice(self, d):
+        rng = np.random.default_rng(d)
+        scales = (0.1, 1.0, 100.0, 1000.0)
+        slices = {(kind, scale): _slice(rng, kind, d, scale) for kind in self.KINDS for scale in scales}
+        overflow = [(np.abs(_slice(rng, "generic", d, 1.0)) + 1.0) * 800.0, np.diag(np.full(d, 800.0))]
+        stack = np.stack([*slices.values(), *overflow])  # exp(800) > DBL_MAX
+        self.assert_same_bytes(stack)
+        for a in stack:
+            self.assert_same_bytes(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_scipy_kernels.expm(np.stack(overflow))).all(axis=(-2, -1)).any()
+        if d > 1:  # both triangular squarings (Code Fragment 2.1) and a long generic one ran
+            assert _scaling_power(slices["lower", 1000.0]) >= 5 and _scaling_power(slices["upper", 1000.0]) >= 5
+            assert _scaling_power(slices["generic", 1000.0]) >= 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 7),
+        slices=st.lists(st.tuples(st.sampled_from(KINDS), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+    )
+    def test_random_stacks(self, seed, d, slices):
+        """Scales 1e-3 to 1e3 take s from 0 past 5, and the largest overflow."""
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_slice(rng, kind, d, 10.0**exponent) for kind, exponent in slices])
+        self.assert_same_bytes(stack)
+        for a in stack:
+            self.assert_same_bytes(a)
+
+
+class TestKernelLoader:
+    def test_a_kernel_scipy_lacks_raises_import_error_naming_it(self):
+        for package, name in (("linalg", "_no_such_kernel"), ("no_such_package", "_lbfgsb")):
+            with pytest.raises(ImportError, match=rf"scipy\.{package}\.{name}") as err:
+                _scipy_kernels.load_kernel(package, name)
+            assert err.value.name == f"scipy.{package}.{name}"
 
 
 class TestThresholding:
