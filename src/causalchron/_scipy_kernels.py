@@ -1,17 +1,27 @@
-"""The compiled scipy kernels NOTEARS calls, loaded without their packages.
+"""The compiled scipy kernels the package calls, loaded without their packages.
 
-NOTEARS needs two things from scipy: the L-BFGS-B step ``setulb`` (Byrd,
-Lu, Nocedal & Zhu 1995) of ``scipy.optimize._lbfgsb``, and the Padé
+From scipy the package needs three things: the L-BFGS-B step ``setulb``
+(Byrd, Lu, Nocedal & Zhu 1995) of ``scipy.optimize._lbfgsb`` and the Padé
 kernels ``pick_pade_structure``/``pade_UV_calc`` of
 ``scipy.linalg._matfuncs_expm`` behind ``expm`` (Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 2009).  Importing them the usual way runs the
-``__init__`` of ``scipy.optimize`` and ``scipy.linalg``, which load most of
-both packages: on CPython 3.11 with scipy 1.17 that takes the peak RSS of
-``import causalchron.pipeline`` from about 56 MiB to 79 MiB.
-:func:`load_kernel` instead finds each extension module in scipy's install
-directory and runs only its own initialisation.  The functions it returns
-are the very objects a later ``import scipy.optimize`` or
-``import scipy.linalg`` binds.
+Matrix Anal. Appl. 2009), both for NOTEARS, and the chi-square tail
+``chdtrc`` of ``scipy.special._ufuncs`` for the G² test.  Importing them the
+usual way runs the ``__init__`` of ``scipy.optimize``, ``scipy.linalg`` and
+``scipy.special``, which load most of those packages: on CPython 3.11 with
+scipy 1.17, ``import causalchron.pipeline`` then peaks at about 79 MiB of
+RSS instead of 39 MiB.  :func:`load_kernel` instead finds each extension
+module in scipy's install directory and runs only its own initialisation.
+
+An extension such as ``_ufuncs`` imports siblings (``._ufuncs_cxx`` and
+others) while it initialises, and a relative import runs its package's
+``__init__`` unless the package is in ``sys.modules`` already.  So for the
+duration of the load :func:`load_kernel` registers a bare stand-in
+``scipy.<package>`` whose ``__path__`` is scipy's package directory.
+Afterwards it removes the stand-in and every module the load registered:
+those are bound to the stand-in, not to the real package, and left in
+``sys.modules`` they would stop a later ``import scipy.<package>`` from
+binding them as its attributes.  Without them, that import loads them
+again and binds the very function objects returned here.
 
 :func:`expm` is scipy 1.17's ``scipy.linalg.expm`` for real float64 input on
 those kernels, so every slice keeps its bits (tests/test_notears.py checks
@@ -36,22 +46,26 @@ __all__ = ["expm", "load_kernel", "setulb"]
 
 def load_kernel(package: str, name: str) -> ModuleType:
     """The extension module ``scipy.<package>.<name>``, without running
-    ``scipy.<package>/__init__.py``; raises ImportError if scipy has none."""
+    ``scipy/<package>/__init__.py``; raises ImportError if scipy has none."""
     full = f"scipy.{package}.{name}"
     if full in sys.modules:  # its package is loaded already
         return sys.modules[full]
-    spec = PathFinder.find_spec(full, [os.path.join(scipy.__path__[0], package)])
-    if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no extension module {full}", name=full)
-    module = module_from_spec(spec)
+    path = os.path.join(scipy.__path__[0], package)
+    stand_in = ModuleType(f"scipy.{package}")
+    stand_in.__path__ = [path]
+    before = dict(sys.modules)
+    sys.modules[stand_in.__name__] = stand_in
     try:
+        spec = PathFinder.find_spec(full, [path])
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no extension module {full}", name=full)
+        # a single-phase extension runs its initialisation here, a multi-phase one in exec_module
+        module = module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
-        # A single-phase extension registers itself in sys.modules.  Left
-        # there, a later import of its package would never bind it as the
-        # package's attribute; without it, that import loads it again and
-        # binds the same function objects.
-        sys.modules.pop(full, None)
+        for key in sys.modules.keys() - before.keys():
+            del sys.modules[key]
+        sys.modules.update(before)  # the real package, where it was loaded already
     return module
 
 

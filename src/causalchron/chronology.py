@@ -383,7 +383,7 @@ def _rejection_counts(
     weights = multiplicity.astype(np.float64)
     size = z.sum(axis=1)
     rejected = np.empty(len(first), dtype=bool)
-    for k in np.unique(size):
+    for k in np.flatnonzero(np.bincount(size)):
         members = np.flatnonzero(size == k)
         zpos = by_label[np.nonzero(z[members][:, by_label])[1]].reshape(len(members), k)
         cols = col[np.column_stack([zpos, x[members], y[members]])]

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import causalchron
 from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet
 from causalchron.dataset import EventMatrix
 
@@ -73,3 +80,12 @@ def random_network(rng: np.random.Generator, d: int) -> DiscreteBayesNet:
         for n in labels
     )
     return DiscreteBayesNet(dag, cpts)
+
+
+def fresh_python(code: str) -> object:
+    """Run ``code`` in a new interpreter that imports this checkout's package,
+    and return the JSON value of its last line of output."""
+    src = str(Path(causalchron.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])

@@ -1,9 +1,4 @@
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +6,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import causalchron
 from causalchron.dataset import MISSING, ContingencyTable, EventMatrix, contingency, joint_counts
 from causalchron.discovery import ci_test_g2, citests, fisher_exact
 from causalchron.discovery.citests import MIN_STRATUM_ROWS, g2_tests
+
+from conftest import fresh_python
 
 
 def matrix(labels, values):
@@ -220,25 +216,45 @@ class TestFisherExact:
             assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
 
     def test_package_import_leaves_scipy_stats_unloaded(self):
-        # fisher_exact imports scipy.stats itself, and NOTEARS loads only the
-        # compiled kernels it calls, so start-up pays for none of these
-        # packages; importing them later binds the very kernels NOTEARS calls
-        src = str(Path(causalchron.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = """if True:
-            import json, sys, causalchron, causalchron.cli, causalchron.pipeline
-            unloaded = ("scipy.stats", "scipy.optimize", "scipy.linalg",
-                        "scipy.optimize._lbfgsb", "scipy.linalg._matfuncs_expm")
+        # fisher_exact imports scipy.stats itself, and the G² test and NOTEARS
+        # load only the compiled kernels they call, so start-up pays for none
+        # of these packages, and a pipeline run does not import numpy.ma;
+        # importing the packages later binds the very kernels the package calls
+        out = fresh_python("""if True:
+            import json, sys, tempfile, causalchron, causalchron.cli, causalchron.pipeline
+            from causalchron.pipeline import PipelineConfig, ScenarioSpec, run_pipeline
+            unloaded = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special",
+                        "scipy.optimize._lbfgsb", "scipy.linalg._matfuncs_expm", "scipy.special._ufuncs")
             loaded = [name for name in unloaded if name in sys.modules]
-            import scipy.linalg, scipy.optimize
+            with tempfile.TemporaryDirectory() as run_dir:
+                scenario = ScenarioSpec(preset="chain-5", n_rows=300, missing_rate=0.2)
+                run_pipeline(PipelineConfig(scenario=scenario, output_dir=run_dir, falsify_perms=2))
+            loaded += [name for name in unloaded + ("numpy.ma",) if name in sys.modules]
+            import scipy.linalg, scipy.optimize, scipy.special, scipy.stats
             from causalchron import _scipy_kernels
-            from causalchron.discovery import notears
+            from causalchron.discovery import citests, notears
             same = [
                 scipy.optimize._lbfgsb.setulb is notears.setulb,
                 scipy.linalg._matfuncs_expm.pick_pade_structure is _scipy_kernels._pade.pick_pade_structure,
                 scipy.linalg._matfuncs_expm.pade_UV_calc is _scipy_kernels._pade.pade_UV_calc,
+                scipy.special.chdtrc is citests.chdtrc,
             ]
+            x, df = [0.0, 0.5, 3.84, 12.0, 80.0], [1, 2, 3, 7, 16]
+            same.append(scipy.stats.chi2.sf(x, df).tolist() == citests.chdtrc(df, x).tolist())
             print(json.dumps({"loaded": loaded, "same": same}))
-        """
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert json.loads(out.stdout) == {"loaded": [], "same": [True, True, True]}
+        """)
+        assert out == {"loaded": [], "same": [True] * 5}
+        # scipy.special imported first: the loader takes the package's own
+        # module and leaves the real package in place
+        out = fresh_python("""if True:
+            import json, sys, scipy.special
+            from causalchron import _scipy_kernels
+            from causalchron.discovery import citests
+            print(json.dumps([
+                _scipy_kernels.load_kernel("special", "_ufuncs") is scipy.special._ufuncs,
+                citests.chdtrc is scipy.special.chdtrc,
+                sys.modules["scipy.special"] is scipy.special,
+                hasattr(sys.modules["scipy.special"], "chdtrc"),
+            ]))
+        """)
+        assert out == [True] * 4

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from collections import defaultdict
 from unittest import mock
@@ -28,7 +29,7 @@ from causalchron.discovery import (
 )
 from causalchron.pipeline import preset_network
 
-from conftest import random_network
+from conftest import fresh_python, random_network
 
 UNIT_2CYCLE_H = math.e + math.exp(-1) - 2  # eigenvalues of W*W are +-1
 
@@ -178,6 +179,24 @@ class TestKernelLoader:
             with pytest.raises(ImportError, match=rf"scipy\.{package}\.{name}") as err:
                 _scipy_kernels.load_kernel(package, name)
             assert err.value.name == f"scipy.{package}.{name}"
+        # the stand-in package replaces the loaded scipy.linalg only while the load runs
+        assert sys.modules["scipy.linalg"] is scipy.linalg and "scipy.no_such_package" not in sys.modules
+        # in a process without scipy.special, a stand-in left in sys.modules
+        # would break every later import of the real package
+        out = fresh_python("""if True:
+            import json, sys
+            from causalchron import _scipy_kernels
+            try:
+                _scipy_kernels.load_kernel("special", "_no_such_kernel")
+            except ImportError as err:
+                raised = [err.name, str(err)]
+            left = sorted(name for name in sys.modules if name.startswith("scipy.special"))
+            import scipy.special
+            print(json.dumps([raised, left, hasattr(scipy.special, "chdtrc")]))
+        """)
+        (name, message), left, package_works = out
+        assert name == "scipy.special._no_such_kernel" and name in message
+        assert left == [] and package_works
 
 
 class TestThresholding:
