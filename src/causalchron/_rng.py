@@ -11,6 +11,10 @@ import hashlib
 
 import numpy as np
 
+# numpy loads its random package lazily; importing it with the package keeps
+# that one-off cost (about 15 ms: secrets, hmac) out of the first stage that draws
+import numpy.random  # noqa: F401
+
 
 def _tag_to_int(tag: object) -> int:
     if isinstance(tag, (int, np.integer)):

@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .dataset import MISSING, EventMatrix, assignment_index, joint_counts
+from .dataset import MISSING, EventMatrix, assignment_index, joint_counts, stacked_counts
 
 __all__ = [
     "reachable",
@@ -38,6 +38,8 @@ __all__ = [
     "topological_levels",
     "fit_cpts",
     "log_likelihood",
+    "local_bic",
+    "local_bics",
     "bic_score",
     "marginal",
     "query",
@@ -112,6 +114,11 @@ class Dag:
         for p, c in self.sorted_edges():
             by_child[c].append(p)
         return {n: tuple(sorted(ps, key=self._index.__getitem__)) for n, ps in by_child.items()}
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Results of pure functions of this immutable graph, kept with the instance."""
+        return {}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
@@ -285,8 +292,10 @@ def _conditional_table(p1: np.ndarray, n_parents: int) -> np.ndarray:
 
     ``p1`` has shape ``(..., K)`` with K = 2**n_parents; leading axes are kept.
     """
-    table = np.stack([1.0 - p1, p1], axis=-1)
-    return table.reshape(table.shape[:-2] + (2,) * (n_parents + 1))
+    table = np.empty(p1.shape + (2,))
+    np.subtract(1.0, p1, out=table[..., 0])
+    table[..., 1] = p1
+    return table.reshape(p1.shape[:-1] + (2,) * (n_parents + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,12 +503,10 @@ def _cpt_from_counts(counts: np.ndarray, ess: float) -> np.ndarray:
     (ess=0, never observed) gets 0.5.  Leading axes (independent draws)
     are elementwise.
     """
-    counts = counts.astype(np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     n1, n = counts[..., 1], counts.sum(axis=-1)
     denom = n + ess
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p1 = (n1 + ess / 2.0) / denom
-    return np.where(denom > 0, p1, 0.5)
+    return np.divide(n1 + ess / 2.0, denom, out=np.full_like(denom, 0.5), where=denom > 0)
 
 
 def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
@@ -509,7 +516,8 @@ def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
     ess=0 this is the maximum-likelihood estimate; parent assignments
     never observed then fall back to 0.5 (the limit of the prior mean).
     """
-    _require_fittable(data.values, ess)
+    rows, _, weights = data.row_patterns
+    _require_fittable(rows, ess)
     missing_nodes = set(g.nodes) - set(data.columns)
     if missing_nodes:
         raise KeyError(f"nodes absent from data: {sorted(missing_nodes)}")
@@ -517,7 +525,7 @@ def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
     for node in g.nodes:
         parents = g.parents(node)
         cols = [data.column_index(p) for p in parents] + [data.column_index(node)]
-        counts = joint_counts(data.values, cols).reshape(-1, 2)
+        counts = joint_counts(rows, cols, weights).reshape(-1, 2)
         cpts.append(Cpt(node, parents, _cpt_from_counts(counts, ess)))
     return DiscreteBayesNet(g, tuple(cpts))
 
@@ -543,20 +551,65 @@ def log_likelihood(bn: DiscreteBayesNet, data: EventMatrix, floor: float = DEFAU
 def local_bic(data: EventMatrix, node: str, parents: Sequence[str]) -> float:
     """Node-wise BIC term: ML log-likelihood minus (2^|parents| / 2) ln N.
 
-    Only the columns of ``node`` and ``parents`` are read, and they must be complete.
+    Only the columns of ``node`` and ``parents`` are read, and they must be
+    complete.  One family of :func:`local_bics`.
     """
-    values = data.values[:, [data.column_index(p) for p in parents] + [data.column_index(node)]]
-    _require_complete(values)
-    counts = joint_counts(values, range(values.shape[1])).reshape(-1, 2).astype(np.float64)
-    n1, n = counts[:, 1], counts.sum(axis=1)
-    n0 = n - n1
-    ll = 0.0
-    pos = n > 0
-    for cnt in (n1, n0):
-        nz = pos & (cnt > 0)
-        ll += float((cnt[nz] * np.log(cnt[nz] / n[nz])).sum())
-    penalty = 0.5 * (1 << len(parents)) * np.log(data.n_rows)
-    return ll - penalty
+    return local_bics(data, [(node, parents)])[0]
+
+
+def local_bics(data: EventMatrix, families: Sequence[tuple[str, Sequence[str]]]) -> list[float]:
+    """:func:`local_bic` of every (node, parents) family, counted in stacked passes.
+
+    The families of one size are counted together by ``stacked_counts``
+    over the distinct rows (``data.row_patterns``), with the parents in
+    the given order as the high bits.  The log-likelihood terms are
+    elementwise over all families; each family then sums its own nonzero
+    terms with numpy's ``sum``, n1 cells before n0 cells, so its score
+    has the bits of a count over the rows of that family alone.  A score
+    is a pure function of the immutable matrix, so it is kept with the
+    matrix and counted once.
+    """
+    memo = data._memo.setdefault("local_bic", {})
+    keys = [(node, tuple(ps)) for node, ps in families]
+    todo = [k for k in dict.fromkeys(keys) if k not in memo]
+    if todo:
+        memo.update(zip(todo, _count_local_bics(data, todo)))
+    return [memo[k] for k in keys]
+
+
+def _count_local_bics(data: EventMatrix, families: Sequence[tuple[str, tuple[str, ...]]]) -> list[float]:
+    """The scores of :func:`local_bics`, counted; every family is counted once per call."""
+    rows, _, weights = data.row_patterns
+    cols = [[data.column_index(p) for p in ps] + [data.column_index(node)] for node, ps in families]
+    by_width: dict[int, list[int]] = {}
+    for f, c in enumerate(cols):
+        by_width.setdefault(len(c), []).append(f)
+    missing = (rows == MISSING).any(axis=0)
+    log_n = np.log(data.n_rows)
+    scores = [0.0] * len(cols)
+    for width, members in by_width.items():
+        block = np.array([cols[f] for f in members], dtype=np.intp)
+        if missing[block].any():
+            raise ValueError("data contains missing cells")
+        penalty = 0.5 * (1 << (width - 1)) * log_n
+        for lo, counts in stacked_counts(rows, weights, block):
+            counts = counts.reshape(len(counts), -1, 2)
+            n1 = counts[..., 1]
+            n = counts.sum(axis=2)
+            # per cell kind (n1, then n0): the nonzero terms of every family, family
+            # after family, and where each family's run of terms ends
+            runs = []
+            for cnt in (n1, n - n1):
+                nz = (n > 0) & (cnt > 0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    terms = (cnt * np.log(cnt / n))[nz]
+                runs.append((terms, [0, *np.cumsum(nz.sum(axis=1)).tolist()]))
+            for i in range(len(counts)):
+                ll = 0.0
+                for terms, ends in runs:
+                    ll += float(np.add.reduce(terms[ends[i] : ends[i + 1]]))  # what .sum() runs
+                scores[members[lo + i]] = ll - penalty
+    return scores
 
 
 def bic_score(g: Dag, data: EventMatrix) -> float:
@@ -566,7 +619,7 @@ def bic_score(g: Dag, data: EventMatrix) -> float:
     typically negative, matching the usual bar-chart convention.
     """
     _require_complete(data.values)
-    return sum(local_bic(data, node, g.parents(node)) for node in g.nodes)
+    return sum(local_bics(data, [(node, g.parents(node)) for node in g.nodes]))
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,15 @@ def backdoor_set(g: Dag, x: str, y: str) -> frozenset[str]:
     The backdoor criterion is verified, not assumed: no member may be a
     descendant of x, and conditioning on the set must d-separate x from y
     once x's outgoing edges are removed.  Failure indicates a bug and is a
-    hard error.
+    hard error.  The set is a pure function of the immutable ``g``, so it
+    is kept with the instance: the estimates and refits of an edge verify
+    it once.
     """
     if x == y:
         raise ValueError("treatment and outcome must differ")
+    key = ("backdoor_set", x, y)
+    if key in g._memo:
+        return g._memo[key]
     z = frozenset(g.parents(x))
     desc = g.descendants(x)
     if z & desc:
@@ -103,6 +108,7 @@ def backdoor_set(g: Dag, x: str, y: str) -> frozenset[str]:
     surgered = g.with_edges(remove=[(x, c) for c in g.children(x)])
     if y not in z and not d_separated(surgered, x, y, z):
         raise AssertionError(f"parents({x!r}) fail the backdoor criterion toward {y!r}")
+    g._memo[key] = z
     return z
 
 
@@ -116,34 +122,41 @@ def ace(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
     """Average causal effect by exact backdoor adjustment on the verified backdoor set."""
     z = backdoor_set(bn.dag, x, y)
     order, read = _ace_reader(bn.dag, x, y, z)
-    return EffectEstimate(x, y, "ACE", read(bn.marginal(order)), z, frozenset())
+    return EffectEstimate(x, y, "ACE", read(bn.marginal(order)[None])[0], z, frozenset())
 
 
-#: the node order of an estimand's exact table and the estimate read off that table
-Reader = tuple[tuple[str, ...], Callable[[np.ndarray], float]]
+#: the node order of an estimand's exact table and the estimate read off that
+#: table; the reader takes tables with a leading draw axis, shape (D, 2, ..., 2),
+#: and returns one estimate per draw
+Reader = tuple[tuple[str, ...], Callable[[np.ndarray], list[float]]]
+
+
+def _per_draw(prod: np.ndarray, live: np.ndarray) -> list[float]:
+    """Each draw's sum over its live strata, clipped to [-1, 1]."""
+    return [float(min(1.0, max(-1.0, p[keep].sum()))) for p, keep in zip(prod, live)]
 
 
 def _ace_reader(dag: Dag, x: str, y: str, z: frozenset[str]) -> Reader:
-    """Backdoor adjustment over the set z, read off one exact table P(x, Z, y).
+    """Backdoor adjustment over the set z, read off exact tables P(x, Z, y).
 
     value = sum_z [P(y=1 | x=1, Z=z) - P(y=1 | x=0, Z=z)] P(Z=z).  A
-    stratum with P(Z=z) > 0 but P(Z=z, x=v) = 0 raises
-    ZeroProbabilityEvidence.
+    stratum with P(Z=z) > 0 but P(Z=z, x=v) = 0 in any draw raises
+    ZeroProbabilityEvidence.  Everything but each draw's final sum is
+    elementwise over the draw axis.
     """
     z_sorted = tuple(sorted(z, key=dag._index.__getitem__))
 
-    def read(t: np.ndarray) -> float:
+    def read(t: np.ndarray) -> list[float]:
         p_xz = t.sum(axis=-1)
-        p_z = p_xz[0] + p_xz[1]
+        p_z = p_xz[:, 0] + p_xz[:, 1]
         live = p_z > 0.0
-        if ((p_xz <= 0.0) & live).any():
+        if ((p_xz <= 0.0) & live[:, None]).any():
             raise ZeroProbabilityEvidence(
                 f"a stratum of {z_sorted} with positive probability never has {x!r} = 0 or 1"
             )
         with np.errstate(divide="ignore", invalid="ignore"):
             p_y = t[..., 1] / p_xz  # P(y=1 | x, Z)
-        value = ((p_y[1] - p_y[0]) * p_z)[live].sum()
-        return float(min(1.0, max(-1.0, value)))
+        return _per_draw((p_y[:, 1] - p_y[:, 0]) * p_z, live)
 
     return (x, *z_sorted, y), read
 
@@ -167,31 +180,31 @@ def ace_surgery(bn: DiscreteBayesNet, x: str, y: str) -> float:
 
 
 def _nde_reader(dag: Dag, x: str, y: str, meds: frozenset[str], z: frozenset[str]) -> Reader:
-    """Mediation formula with baseline x=0, read off one exact table P(x, Z, M, y).
+    """Mediation formula with baseline x=0, read off exact tables P(x, Z, M, y).
 
     value = sum_{z,m} [P(y=1 | x=1, m, z) - P(y=1 | x=0, m, z)] P(m | x=0, z) P(z);
     it reduces to the ACE when meds is empty.  Strata with
     P(m | x=0, z) = 0 are skipped; a remaining one with P(z, m, x=1) = 0
-    raises ZeroProbabilityEvidence.
+    in any draw raises ZeroProbabilityEvidence.  Everything but each
+    draw's final sum is elementwise over the draw axis.
     """
     order = dag._index.__getitem__
     m_sorted = tuple(sorted(meds, key=order))
     z_sorted = tuple(sorted(z, key=order))
 
-    def read(t: np.ndarray) -> float:
+    def read(t: np.ndarray) -> list[float]:
         p_xzm = t.sum(axis=-1)
-        p_xz = p_xzm.sum(axis=tuple(range(1 + len(z_sorted), p_xzm.ndim)), keepdims=True)
-        p_z = p_xz[0] + p_xz[1]
+        p_xz = p_xzm.sum(axis=tuple(range(2 + len(z_sorted), p_xzm.ndim)), keepdims=True)
+        p_z = p_xz[:, 0] + p_xz[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            p_m_given = p_xzm[0] / p_xz[0]  # P(M | x=0, Z)
+            p_m_given = p_xzm[:, 0] / p_xz[:, 0]  # P(M | x=0, Z)
             p_y = t[..., 1] / p_xzm  # P(y=1 | x, Z, M)
-        live = (p_xz[0] > 0.0) & (p_m_given > 0.0)
-        if (live & (p_xzm[1] <= 0.0)).any():
+        live = (p_xz[:, 0] > 0.0) & (p_m_given > 0.0)
+        if (live & (p_xzm[:, 1] <= 0.0)).any():
             raise ZeroProbabilityEvidence(
                 f"a stratum of {z_sorted + m_sorted} reached with {x!r} = 0 is never reached with {x!r} = 1"
             )
-        value = ((p_y[1] - p_y[0]) * p_m_given * p_z)[live].sum()
-        return float(min(1.0, max(-1.0, value)))
+        return _per_draw((p_y[:, 1] - p_y[:, 0]) * p_m_given * p_z, live)
 
     return (x, *z_sorted, *m_sorted, y), read
 
@@ -203,7 +216,7 @@ def nde(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
         raise ValueError(f"no mediators between {x!r} and {y!r}: use ace()")
     z = backdoor_set(bn.dag, x, y)
     order, read = _nde_reader(bn.dag, x, y, meds, z)
-    return EffectEstimate(x, y, "NDE", read(bn.marginal(order)), z, meds)
+    return EffectEstimate(x, y, "NDE", read(bn.marginal(order)[None])[0], z, meds)
 
 
 def _estimate_edge(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
@@ -332,22 +345,26 @@ class CausalRelationTable:
 
 def _refit_plan(
     dag: Dag, x: str, y: str, estimand_kind: str
-) -> tuple[Dag, tuple[str, ...], Callable[[np.ndarray], float]]:
+) -> tuple[Dag, tuple[str, ...], Callable[[np.ndarray], list[float]]]:
     """The sub-DAG a refit needs, the node order of the estimand's table and the estimate read off it.
 
     The backdoor set and the mediators are worked out once on ``dag``.
     The sub-DAG is the ancestral closure of {x, y}, which holds both, with
     the nodes in ``dag``'s order: every other node is barren in the
     estimand's marginal, so a network fitted on the sub-DAG gives the
-    estimate of one fitted on ``dag``, bit for bit.
+    estimate of one fitted on ``dag``, bit for bit.  The plan is a pure
+    function of the immutable ``dag``, so it is kept with the instance:
+    the placebo and subset refits of an edge share one.
     """
-    z = backdoor_set(dag, x, y)
-    meds = mediators(dag, x, y) if estimand_kind == "NDE" else frozenset()
-    keep = {x, y} | dag.ancestors(x) | dag.ancestors(y)
-    sub = Dag([n for n in dag.nodes if n in keep], [(p, c) for p, c in dag.edges if c in keep])
-    if meds:
-        return (sub, *_nde_reader(dag, x, y, meds, z))
-    return (sub, *_ace_reader(dag, x, y, z))
+    key = ("refit_plan", x, y, estimand_kind)
+    if key not in dag._memo:
+        z = backdoor_set(dag, x, y)
+        meds = mediators(dag, x, y) if estimand_kind == "NDE" else frozenset()
+        keep = {x, y} | dag.ancestors(x) | dag.ancestors(y)
+        sub = Dag([n for n in dag.nodes if n in keep], [(p, c) for p, c in dag.edges if c in keep])
+        reader = _nde_reader(dag, x, y, meds, z) if meds else _ace_reader(dag, x, y, z)
+        dag._memo[key] = (sub, *reader)
+    return dag._memo[key]
 
 
 def _refit_tables(
@@ -363,13 +380,14 @@ def _refit_tables(
     have shape ``(D,) + (2,) * (k + 1)``.
     """
     draw = np.arange(len(counts))[:, None]
+    weights = counts.astype(np.float64).ravel()
     tables = {}
     for n in sub.nodes:
         ps = sub.parents(n)
         cells = 2 << len(ps)
         local = assignment_index(patterns, [sub._index[v] for v in (*ps, n)])
         # float64 sums of integer counts below 2**53 are exact
-        joint = np.bincount((draw * cells + local).ravel(), weights=counts.ravel(), minlength=len(counts) * cells)
+        joint = np.bincount((draw * cells + local).ravel(), weights, minlength=len(counts) * cells)
         tables[n] = _conditional_table(_cpt_from_counts(joint.reshape(len(counts), -1, 2), ess), len(ps))
     return tables
 
@@ -425,8 +443,12 @@ def refute(
         center, tol = 0.0, ABS_TOLERANCE
     elif kind == "subset":
         size = int(np.ceil(SUBSET_FRACTION * data.n_rows))
-        rows = np.stack([rng.choice(data.n_rows, size=size, replace=False) for _ in range(SUBSET_DRAWS)])
-        counts = np.stack([np.bincount(ids[r], minlength=n_patterns) for r in rows])
+        counts = np.stack(
+            [
+                np.bincount(ids[rng.choice(data.n_rows, size=size, replace=False)], minlength=n_patterns)
+                for _ in range(SUBSET_DRAWS)
+            ]
+        )
         center, tol = estimate.value, SUBSET_REL_TOLERANCE * abs(estimate.value) + SUBSET_ABS_TOLERANCE
     elif kind == "random_common_cause":
         label = "__random_common_cause__"
@@ -444,7 +466,7 @@ def refute(
     sub, order, read = _refit_plan(dag, x, y, estimate.estimand_kind)
     sub_patterns = patterns[:, [columns.index(n) for n in sub.nodes]]
     t = marginal(sub, _refit_tables(sub, sub_patterns, counts, ess), order, draws=True)
-    refuted = float(np.mean([read(t[d]) for d in range(len(counts))]))
+    refuted = float(np.mean(read(t)))
     return RefutationResult(kind, refuted, abs(refuted - center) <= tol, tol)
 
 

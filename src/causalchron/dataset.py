@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "save_reads",
     "assignment_index",
     "joint_counts",
+    "stacked_counts",
     "contingency",
     "cooccurrence_counts",
     "missingness_profile",
@@ -158,6 +159,11 @@ class EventMatrix:
 
     def column(self, label: str) -> np.ndarray:
         return self.values[:, self.column_index(label)]
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Results of pure functions of this immutable matrix, kept with the instance."""
+        return {}
 
     @cached_property
     def row_patterns(self) -> RowPatterns:
@@ -294,13 +300,64 @@ def assignment_index(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     return idx
 
 
-def joint_counts(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+def joint_counts(
+    values: np.ndarray, cols: Sequence[int], weights: np.ndarray | None = None
+) -> np.ndarray:
     """Row counts of every assignment of the binary columns ``cols``.
 
     Entries follow binary counting order with the first column as the
-    high bit, so the result reshapes to ``(2,) * len(cols)``.
+    high bit, so the result reshapes to ``(2,) * len(cols)``.  With
+    ``weights`` (for instance the pattern counts of distinct rows), row i
+    counts ``weights[i]`` times and the counts are float64.
     """
-    return np.bincount(assignment_index(values, cols), minlength=1 << len(cols))
+    return np.bincount(assignment_index(values, cols), weights, minlength=1 << len(cols))
+
+
+# Size budget of one chunk's (rows x statements) packed index; its integer
+# copy and the broadcast weights take as much again each.  Statements are
+# independent, so chunking never changes a count, only peak memory; a
+# chunk holds at least one statement.
+_COUNT_BUDGET_BYTES = 64 * 2**10
+
+
+def stacked_counts(
+    rows: np.ndarray, weights: np.ndarray, cols: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``joint_counts`` of many column tuples over weighted rows, one chunk of tuples at a time.
+
+    ``rows`` holds cells (0, 1 or MISSING), usually one row per distinct
+    record pattern (``EventMatrix.row_patterns``), and ``weights`` each
+    row's number of records.  Row s of the integer array ``cols`` names
+    tuple s's column indices; all tuples have the same width k.  Yields
+    ``(lo, counts)``: row i of ``counts``, shape ``(n_block, 2**k)``,
+    counts tuple ``lo + i`` in binary counting order, first column high
+    bit.  The cell index of every tuple of a chunk comes from one matmul
+    of the rows against bit weights plus a per-tuple offset, and the chunk
+    is counted in one weighted bincount.  A missing cell packs past every
+    in-range index, so a row missing any of a tuple's cells lands in that
+    tuple's discard bin and is not counted.  Counts are integers, exact in
+    float64.  A chunk's packed index takes about ``_COUNT_BUDGET_BYTES``.
+    """
+    n_tuples, width = cols.shape
+    n_cells = 1 << width
+    packed = rows.astype(np.float64)
+    packed[rows == MISSING] = n_cells
+    bits = np.ldexp(1.0, np.arange(width - 1, -1, -1))
+    chunk = max(1, _COUNT_BUDGET_BYTES // (8 * len(rows)))
+    for lo in range(0, n_tuples, chunk):
+        block = cols[lo : lo + chunk]
+        n_block = len(block)
+        w = np.zeros((rows.shape[1], n_block))
+        w[block, np.arange(n_block)[:, None]] = bits
+        # indices are small integers, exact in float64; bin n_cells of each tuple discards
+        idx = packed @ w
+        np.minimum(idx, n_cells, out=idx)
+        idx += np.arange(n_block) * (n_cells + 1)
+        idx = idx.astype(np.intp)  # the float copy is freed before the weights are broadcast
+        counts = np.bincount(
+            idx.ravel(), np.broadcast_to(weights[:, None], idx.shape).ravel(), n_block * (n_cells + 1)
+        )
+        yield lo, counts.reshape(n_block, n_cells + 1)[:, :n_cells]
 
 
 def contingency(m: EventMatrix, a: str, b: str) -> ContingencyTable:

@@ -5,6 +5,10 @@ The G² p-value is the chi-square tail ``chdtrc`` of scipy's compiled
 without running ``scipy.special``'s ``__init__``: importing the package
 would load all of it, about 16 MiB of peak memory and 0.2 s of start-up
 in every process, for one ufunc.
+
+Every test counts its strata with ``dataset.stacked_counts`` over the
+distinct rows of the matrix (``EventMatrix.row_patterns``); ``ci_test_g2``
+is one statement of ``g2_tests``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .._scipy_kernels import load_kernel
-from ..dataset import MISSING, ContingencyTable, EventMatrix, joint_counts
+from ..dataset import MISSING, ContingencyTable, EventMatrix, stacked_counts
 
 __all__ = ["G2Result", "ci_test_g2", "g2_tests", "fisher_exact"]
 
@@ -51,32 +55,17 @@ def ci_test_g2(
     the result is degenerate with p = 1.  With an empty conditioning set
     the test runs on pairwise-complete rows, so marginal tests work on
     matrices that still contain missing cells; a conditional test requires
-    complete x, y and z columns, and ignores missing cells elsewhere.  The
-    statistic is ``_g2``, the one ``g2_tests`` computes for many statements
-    at once.
+    complete x, y and z columns, and ignores missing cells elsewhere.  It
+    is one statement of ``g2_tests`` over ``data.row_patterns``.
     """
     xi = data.column_index(x)
     yi = data.column_index(y)
     zi = [data.column_index(v) for v in z]
     if x == y or x in z or y in z:
         raise ValueError("x, y and z must be disjoint")
-    values = data.values
-    if zi:
-        if (values[:, zi + [xi, yi]] == MISSING).any():
-            raise ValueError("conditional tests require complete data")
-    else:
-        keep = (values[:, xi] != MISSING) & (values[:, yi] != MISSING)
-        values = values[keep]
-    counts = joint_counts(values, zi + [xi, yi]).reshape(1, -1, 2, 2).astype(np.float64)
-    statistic, df, p = _g2(counts)
+    rows, _, weights = data.row_patterns
+    statistic, df, p = g2_tests(rows, weights, [zi + [xi, yi]])
     return G2Result(float(statistic[0]), int(df[0]), float(p[0]), bool(df[0] == 0))
-
-
-# Size budget of one chunk's (rows x statements) packed index; its integer
-# copy and the broadcast weights take as much again each.  Statements are
-# independent, so chunking never changes a result, only peak memory; a
-# chunk holds at least one statement.
-_COUNT_BUDGET_BYTES = 64 * 2**10
 
 
 def g2_tests(
@@ -87,45 +76,24 @@ def g2_tests(
     ``rows`` holds cells (0, 1 or MISSING), one row per distinct record
     pattern, and ``weights`` each pattern's number of records.  Row s of
     ``cols`` names statement s's column indices as ``z..., x, y``; all
-    rows have the same length.  The stratum-and-cell index of every
-    statement of a chunk comes from one matmul of the rows against bit
-    weights (first column = high bit, as in ``joint_counts``), and the
-    chunk is counted in one weighted bincount.  A missing cell packs past
-    every in-range index, so a row missing any of a statement's cells
-    lands in that statement's discard bin, and a marginal statement counts
+    rows have the same length.  ``stacked_counts`` counts the strata of a
+    chunk of statements in one matmul and one weighted bincount, and
+    ``_g2`` turns each chunk's counts into statistics.  A row missing any
+    of a statement's cells is not counted, so a marginal statement counts
     its pairwise-complete rows, as ``ci_test_g2`` does.  Statements with a
     non-empty conditioning set require the columns they read to be
-    complete.  A chunk's packed index takes about ``_COUNT_BUDGET_BYTES``.
+    complete.
     """
     cols = np.asarray(cols, dtype=np.intp)
     n_tests, width = cols.shape
-    missing = rows == MISSING
-    if width > 2 and missing.any(axis=0)[cols].any():
+    if width > 2 and (rows == MISSING).any(axis=0)[cols].any():
         raise ValueError("conditional tests require complete data")
-    n_cells = 1 << width
-    packed = rows.astype(np.float64)
-    packed[missing] = n_cells
-    bits = np.ldexp(1.0, np.arange(width - 1, -1, -1))
     statistic = np.empty(n_tests)
     df = np.empty(n_tests, dtype=np.int64)
     p = np.empty(n_tests)
-    chunk = max(1, _COUNT_BUDGET_BYTES // (8 * len(rows)))
-    for lo in range(0, n_tests, chunk):
-        block = cols[lo : lo + chunk]
-        n_block = len(block)
-        w = np.zeros((rows.shape[1], n_block))
-        w[block, np.arange(n_block)[:, None]] = bits
-        # indices are small integers, exact in float64; bin n_cells of each statement discards
-        idx = packed @ w
-        np.minimum(idx, n_cells, out=idx)
-        idx += np.arange(n_block) * (n_cells + 1)
-        counts = np.bincount(
-            idx.astype(np.intp).ravel(),
-            np.broadcast_to(weights[:, None], idx.shape).ravel(),
-            n_block * (n_cells + 1),
-        )
-        counts = counts.reshape(n_block, n_cells + 1)[:, :n_cells].reshape(n_block, -1, 2, 2)
-        statistic[lo : lo + n_block], df[lo : lo + n_block], p[lo : lo + n_block] = _g2(counts)
+    for lo, counts in stacked_counts(rows, weights, cols):
+        hi = lo + len(counts)
+        statistic[lo:hi], df[lo:hi], p[lo:hi] = _g2(counts.reshape(hi - lo, -1, 2, 2))
     return statistic, df, p
 
 

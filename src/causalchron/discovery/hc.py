@@ -1,10 +1,27 @@
-"""Score-based structure learning: greedy hill climbing on decomposable BIC."""
+"""Score-based structure learning: greedy hill climbing on decomposable BIC.
+
+Each step lists its legal moves first, with ancestor sets from one
+``reachable`` walk per node.  A move's gain is kept with the parent sets
+it reads, so a step works out only the gains of moves whose parent sets
+changed, and the local scores those read come from one ``local_bics``
+call, which counts the families (node, parent set) the matrix has not
+scored yet in stacked passes over its distinct rows.  The best move is
+then picked in the fixed move order, so ties break as in a
+one-move-at-a-time search.
+"""
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from ..bayesnet import Dag, local_bic, reachable
+from ..bayesnet import (
+    Dag,
+    local_bic,  # noqa: F401  unused here; perfbench/tracer.py patches hc.local_bic by name
+    local_bics,
+    reachable,
+)
 from ..dataset import EventMatrix
 
 __all__ = ["hc_learn"]
@@ -17,84 +34,93 @@ _MIN_GAIN = 1e-12  # accepted moves must improve the score by more than this
 # output flip under tiny data perturbations
 _TIE_EPS = 1e-6
 
+_KINDS = ("add", "delete", "reverse")
+
+Family = tuple[str, frozenset[str]]
+#: (kind rank, parent, child): adding, deleting or reversing the edge parent -> child
+Move = tuple[int, str, str]
+#: a move with the parent sets its gain reads: the child's, then the parent's for a reversal
+GainKey = tuple[Move, frozenset[str], frozenset[str] | None]
+
+
+def _families(key: GainKey) -> tuple[Family, ...]:
+    """The families whose scores make a move's gain: new child, old child, then
+    for a reversal new parent, old parent."""
+    (kind, a, b), pb, pa = key
+    if kind == 0:
+        return (b, pb | {a}), (b, pb)
+    if kind == 1:
+        return (b, pb - {a}), (b, pb)
+    return (b, pb - {a}), (b, pb), (a, pa | {b}), (a, pa)
+
 
 class _SearchState:
-    """Parent-set bookkeeping with cached local scores."""
+    """Parent-set bookkeeping with cached move gains."""
 
     def __init__(self, data: EventMatrix):
         self.data = data
         self.nodes = data.columns
         self.parents: dict[str, frozenset[str]] = {n: frozenset() for n in self.nodes}
         self._index = {n: i for i, n in enumerate(self.nodes)}
-        self._cache: dict[tuple[str, frozenset[str]], float] = {}
+        self._gains: dict[GainKey, float] = {}
 
-    def local(self, node: str, parents: frozenset[str]) -> float:
-        key = (node, parents)
-        if key not in self._cache:
-            ordered = tuple(sorted(parents, key=self._index.__getitem__))
-            self._cache[key] = local_bic(self.data, node, ordered)
-        return self._cache[key]
+    def local(self, families: Iterable[Family]) -> list[float]:
+        """The local scores of the families, parents in column order, from one ``local_bics`` call."""
+        return local_bics(self.data, [(n, sorted(ps, key=self._index.__getitem__)) for n, ps in families])
+
+    def gains(self, moves: list[Move]) -> list[float]:
+        """The score gain of each move; only gains whose parent sets are new are worked out."""
+        parents = self.parents
+        keys = [(m, parents[m[2]], parents[m[1]] if m[0] == 2 else None) for m in moves]
+        stale = {k: _families(k) for k in keys if k not in self._gains}
+        families = list(dict.fromkeys(f for fs in stale.values() for f in fs))
+        local = dict(zip(families, self.local(families)))
+        for k, fs in stale.items():
+            s = [local[f] for f in fs]
+            self._gains[k] = s[0] - s[1] if len(s) == 2 else s[0] - s[1] + s[2] - s[3]
+        return [self._gains[k] for k in keys]
 
     def score(self) -> float:
-        return sum(self.local(n, self.parents[n]) for n in self.nodes)
-
-    def has_path(self, src: str, dst: str) -> bool:
-        """Whether a directed path leads from src to dst, walking parents up from dst."""
-        return src in reachable([dst], self.parents.__getitem__)
+        return sum(self.local(self.parents.items()))
 
 
 def _best_move(
     state: _SearchState, max_indegree: int | None
 ) -> tuple[float, tuple[str, str, str]] | None:
     """Highest-gain legal single-edge move; ties keep the lexicographically
-    first (kind, parent, child) with kind ordered add < delete < reverse."""
-    best: tuple[float, tuple[int, str, str]] | None = None
-    kinds = {"add": 0, "delete": 1, "reverse": 2}
+    first (kind, parent, child) with kind ordered add < delete < reverse.
+
+    Adding a -> b closes a cycle when b is an ancestor of a; reversing
+    a -> b does when a is an ancestor of another parent of b.
+    """
+    parents = state.parents
+    up = {n: reachable([n], parents.__getitem__) for n in state.nodes}
+    cap = len(state.nodes) if max_indegree is None else max_indegree
+    moves: list[Move] = []
     for a in state.nodes:
+        pa = parents[a]
         for b in state.nodes:
             if a == b:
                 continue
-            moves: list[str] = []
-            if a in state.parents[b]:
-                moves.append("delete")
-                moves.append("reverse")
-            elif b not in state.parents[a]:
-                moves.append("add")
-            for kind in moves:
-                if kind == "add":
-                    if max_indegree is not None and len(state.parents[b]) >= max_indegree:
-                        continue
-                    if state.has_path(b, a):
-                        continue
-                    delta = state.local(b, state.parents[b] | {a}) - state.local(b, state.parents[b])
-                elif kind == "delete":
-                    delta = state.local(b, state.parents[b] - {a}) - state.local(b, state.parents[b])
-                else:  # reverse a->b into b->a
-                    if max_indegree is not None and len(state.parents[a]) >= max_indegree:
-                        continue
-                    state.parents[b] = state.parents[b] - {a}
-                    cycle = state.has_path(a, b)
-                    state.parents[b] = state.parents[b] | {a}
-                    if cycle:
-                        continue
-                    delta = (
-                        state.local(b, state.parents[b] - {a})
-                        - state.local(b, state.parents[b])
-                        + state.local(a, state.parents[a] | {b})
-                        - state.local(a, state.parents[a])
-                    )
-                key = (kinds[kind], a, b)
-                if delta <= _MIN_GAIN:
-                    continue
-                if best is None or delta > best[0] + _TIE_EPS:
-                    best = (delta, key)
-                elif delta > best[0] - _TIE_EPS and key < best[1]:
-                    best = (max(delta, best[0]), key)
+            pb = parents[b]
+            if a in pb:
+                moves.append((1, a, b))
+                if len(pa) < cap and not any(a in up[p] for p in pb if p != a):
+                    moves.append((2, a, b))
+            elif b not in pa and len(pb) < cap and b not in up[a]:
+                moves.append((0, a, b))
+    best: tuple[float, Move] | None = None
+    for key, delta in zip(moves, state.gains(moves)):
+        if delta <= _MIN_GAIN:
+            continue
+        if best is None or delta > best[0] + _TIE_EPS:
+            best = (delta, key)
+        elif delta > best[0] - _TIE_EPS and key < best[1]:
+            best = (max(delta, best[0]), key)
     if best is None:
         return None
     delta, (kind_rank, a, b) = best
-    kind = {v: k for k, v in kinds.items()}[kind_rank]
-    return delta, (kind, a, b)
+    return delta, (_KINDS[kind_rank], a, b)
 
 
 def _apply(state: _SearchState, move: tuple[str, str, str]) -> None:

@@ -1,12 +1,15 @@
 """Constraint-based structure learning: stable-skeleton PC with Meek closure.
 
 The skeleton phase freezes adjacency sets at the start of every level, so
-the skeleton does not depend on column order.  V-structures are oriented
-from the recorded separating sets, Meek rules 1-3 are applied to closure
-(rule 4 only matters under background knowledge, which we never supply),
-and any still-undirected edge is forced along the column order unless that
-would create a cycle or a fresh v-structure.  Forced edges are reported so
-downstream consumers can treat them as lower-confidence.
+the skeleton does not depend on column order, and a level's G² tests are
+all known when it starts: they run in one ``g2_tests`` pass over the
+distinct rows, and the early stop of each pair is replayed on the
+p-values.  V-structures are oriented from the recorded separating sets,
+Meek rules 1-3 are applied to closure (rule 4 only matters under
+background knowledge, which we never supply), and any still-undirected
+edge is forced along the column order unless that would create a cycle
+or a fresh v-structure.  Forced edges are reported so downstream
+consumers can treat them as lower-confidence.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ from itertools import combinations
 
 from ..bayesnet import Dag, reachable
 from ..dataset import EventMatrix
-from .citests import ci_test_g2
+from .citests import (
+    ci_test_g2,  # noqa: F401  unused here; perfbench/tracer.py patches pc.ci_test_g2 by name
+    g2_tests,
+)
 
 __all__ = ["PcResult", "pc_learn"]
 
@@ -105,41 +111,66 @@ def pc_learn(data: EventMatrix, alpha: float = 0.05) -> PcResult:
     """
     if not data.is_complete:
         raise ValueError("pc requires complete data")
-    nodes = data.columns
-    if len(nodes) < 2:
+    if data.n_cols < 2:
         raise ValueError("need at least 2 columns")
+    return _orient(data.columns, *_skeleton(data, alpha))
+
+
+def _skeleton(
+    data: EventMatrix, alpha: float
+) -> tuple[set[frozenset[str]], dict[frozenset[str], frozenset[str]]]:
+    """The stable skeleton and the separating set of every removed pair.
+
+    Adjacency is frozen at the start of every level, so a level's tests
+    are known before it starts: a pair (a, b) tests the subsets of a's
+    frozen neighbours other than b, then those of b's, in combination
+    order.  All tests of a level are counted in one ``g2_tests`` pass;
+    the first independent set in a pair's test order then removes the
+    pair and becomes its separating set, as if the tests had run one at
+    a time and stopped there.
+    """
+    nodes = data.columns
     index = {n: i for i, n in enumerate(nodes)}
     adjacency: dict[str, set[str]] = {n: set(nodes) - {n} for n in nodes}
     sepsets: dict[frozenset[str], frozenset[str]] = {}
-
-    # stable skeleton: adjacency frozen per level
+    rows, _, weights = data.row_patterns
     level = 0
     while True:
         frozen = {n: tuple(sorted(adjacency[n], key=index.__getitem__)) for n in nodes}
         if all(len(frozen[n]) - 1 < level for n in nodes):
             break
+        pairs: list[tuple[str, str, int, int]] = []  # (a, b, first test, end of its tests)
+        sets: list[tuple[str, ...]] = []
         for a in nodes:
             for b in frozen[a]:
-                if index[b] < index[a] or b not in adjacency[a]:
+                if index[b] < index[a]:
                     continue
-                removed = False
-                for base in (a, b):
-                    other = b if base == a else a
-                    candidates = [v for v in frozen[base] if v != other]
-                    if len(candidates) < level:
-                        continue
-                    for zs in combinations(candidates, level):
-                        if ci_test_g2(data, a, b, list(zs)).independent(alpha):
-                            adjacency[a].discard(b)
-                            adjacency[b].discard(a)
-                            sepsets[frozenset((a, b))] = frozenset(zs)
-                            removed = True
-                            break
-                    if removed:
-                        break
+                first = len(sets)
+                for base, other in ((a, b), (b, a)):
+                    sets.extend(combinations([v for v in frozen[base] if v != other], level))
+                pairs.append((a, b, first, len(sets)))
+        if sets:
+            cols = [
+                [index[v] for v in zs] + [index[a], index[b]] for a, b, lo, hi in pairs for zs in sets[lo:hi]
+            ]
+            independent = g2_tests(rows, weights, cols)[2] > alpha
+            for a, b, lo, hi in pairs:
+                t = next((t for t in range(lo, hi) if independent[t]), None)
+                if t is not None:
+                    adjacency[a].discard(b)
+                    adjacency[b].discard(a)
+                    sepsets[frozenset((a, b))] = frozenset(sets[t])
         level += 1
+    return {frozenset((a, b)) for a in nodes for b in adjacency[a]}, sepsets
 
-    skeleton = {frozenset((a, b)) for a in nodes for b in adjacency[a]}
+
+def _orient(
+    nodes: tuple[str, ...],
+    skeleton: set[frozenset[str]],
+    sepsets: dict[frozenset[str], frozenset[str]],
+) -> PcResult:
+    """Orient the skeleton: v-structures, Meek closure, then column order."""
+    index = {n: i for i, n in enumerate(nodes)}
     g = _Pdag(nodes, skeleton)
 
     # v-structures from separating sets; conflicting demands cancel out

@@ -79,7 +79,7 @@ def test_criterion_03_ace_oracle_equivalence():
             assert abs(adjusted - surgical) <= 1e-10
             z = backdoor_set(bn.dag, p, c)
             order, read = _nde_reader(bn.dag, p, c, frozenset(), z)
-            formula = read(bn.marginal(order))
+            formula = read(bn.marginal(order)[None])[0]
             assert abs(formula - adjusted) <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

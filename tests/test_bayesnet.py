@@ -16,6 +16,7 @@ from causalchron.bayesnet import (
     d_separated,
     fit_cpts,
     local_bic,
+    local_bics,
     local_markov_statements,
     log_likelihood,
     query,
@@ -284,6 +285,82 @@ class TestBic:
                 local_bic(data, node, parents)
         complete = matrix(["a", "b"], [[0, 1], [1, 1], [1, 0]])
         assert local_bic(data, "a", ()) == local_bic(complete, "a", ())
+
+
+def local_bic_rows(values, node_col, parent_cols):
+    """Textbook local BIC: count the rows one at a time, then add the n1 terms, then the n0 terms."""
+    k = len(parent_cols)
+    n1, n = [0] * (1 << k), [0] * (1 << k)
+    for row in values.tolist():
+        a = 0
+        for j in parent_cols:
+            a = 2 * a + row[j]
+        n[a] += 1
+        n1[a] += row[node_col]
+    n1, n = np.array(n1, dtype=float), np.array(n, dtype=float)
+    ll = 0.0
+    for cnt in (n1, n - n1):
+        nz = (n > 0) & (cnt > 0)
+        ll += float((cnt[nz] * np.log(cnt[nz] / n[nz])).sum())
+    return ll - 0.5 * (1 << k) * np.log(len(values))
+
+
+@st.composite
+def bic_cases(draw):
+    """Rows drawn from a few distinct patterns (heavy duplication), a sixth column
+    with missing cells that no family reads, and families of 0-4 parents."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_patterns = draw(st.integers(1, 40))
+    patterns = rng.integers(0, 2, size=(n_patterns, 5))
+    values = patterns[rng.integers(0, n_patterns, size=draw(st.integers(1, 400)))]
+    spare = rng.integers(-1, 2, size=(len(values), 1))
+    data = EventMatrix(("a", "b", "c", "d", "e", "m"), np.hstack([values, spare]).astype(np.int8))
+    families = []
+    for _ in range(draw(st.integers(1, 12))):
+        node = draw(st.sampled_from("abcde"))
+        parents = draw(st.lists(st.sampled_from([v for v in "abcde" if v != node]), max_size=4, unique=True))
+        families.append((node, tuple(parents)))
+    return data, families
+
+
+class TestStackedLocalBic:
+    """``local_bics`` counts many families in stacked passes over the distinct
+    rows; every score keeps the bits of the one-family, row-by-row form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=bic_cases())
+    def test_bit_identical_to_row_by_row_counts(self, case):
+        data, families = case
+        scores = local_bics(data, families)
+        for (node, parents), score in zip(families, scores):
+            cols = [data.column_index(p) for p in parents]
+            expected = local_bic_rows(data.values, data.column_index(node), cols)
+            assert float(score).hex() == float(expected).hex()
+            assert float(local_bic(data, node, parents)).hex() == float(expected).hex()
+
+    def test_families_with_many_nonzero_cells(self):
+        # every assignment of five columns, each repeated 1-6 times: a four-parent
+        # family has 16 nonzero n1 and 16 nonzero n0 cells, so numpy sums pairwise
+        rng = np.random.default_rng(4)
+        patterns = np.array(list(itertools.product((0, 1), repeat=5)))
+        values = np.repeat(patterns, rng.integers(1, 7, size=len(patterns)), axis=0)
+        data = EventMatrix(tuple("abcde"), values.astype(np.int8))
+        families = [(n, tuple(p for p in "abcde" if p != n)) for n in "abcde"]
+        families += [("a", ("c", "b")), ("e", ("d",)), ("b", ())]
+        for (node, parents), score in zip(families, local_bics(data, families)):
+            expected = local_bic_rows(values, data.column_index(node), [data.column_index(p) for p in parents])
+            assert float(score).hex() == float(expected).hex()
+
+    def test_bic_score_adds_the_local_scores_in_node_order(self):
+        rng = np.random.default_rng(12)
+        bn = random_network(rng, 6)
+        data = sample(bn, 300, seed=5)
+        expected = 0
+        for n in bn.dag.nodes:
+            cols = [data.column_index(p) for p in bn.dag.parents(n)]
+            expected += local_bic_rows(data.values, data.column_index(n), cols)
+        assert float(bic_score(bn.dag, data)).hex() == float(expected).hex()
 
 
 class TestQuery:

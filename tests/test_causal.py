@@ -1,8 +1,9 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from causalchron._rng import spawn_seed
@@ -22,7 +23,7 @@ from causalchron.causal import (
     nde,
     refute,
 )
-from causalchron.causal import _nde_reader, _refit_plan, _refit_tables
+from causalchron.causal import _ace_reader, _nde_reader, _refit_plan, _refit_tables
 from causalchron.dataset import EventMatrix
 
 from conftest import random_network
@@ -173,7 +174,7 @@ class TestNde:
             for p, c in bn.dag.sorted_edges():
                 z = backdoor_set(bn.dag, p, c)
                 order, read = _nde_reader(bn.dag, p, c, frozenset(), z)
-                formula = read(bn.marginal(order))
+                formula = read(bn.marginal(order)[None])[0]
                 assert formula == pytest.approx(ace(bn, p, c).value, abs=1e-10)
 
 
@@ -215,6 +216,80 @@ class TestPositivity:
         with pytest.raises(ZeroProbabilityEvidence):
             ace(bn, "x", "y")
         assert 0.0 < nde(bn, "x", "y").value < 1.0
+
+
+def ace_once(t):
+    """Textbook backdoor adjustment read off one table P(x, Z, y)."""
+    p_xz = t.sum(axis=-1)
+    p_z = p_xz[0] + p_xz[1]
+    live = p_z > 0.0
+    if ((p_xz <= 0.0) & live).any():
+        raise ZeroProbabilityEvidence("positivity")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_y = t[..., 1] / p_xz
+    value = ((p_y[1] - p_y[0]) * p_z)[live].sum()
+    return float(min(1.0, max(-1.0, value)))
+
+
+def nde_once(t, n_z):
+    """Textbook mediation formula read off one table P(x, Z, M, y)."""
+    p_xzm = t.sum(axis=-1)
+    p_xz = p_xzm.sum(axis=tuple(range(1 + n_z, p_xzm.ndim)), keepdims=True)
+    p_z = p_xz[0] + p_xz[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_m_given = p_xzm[0] / p_xz[0]
+        p_y = t[..., 1] / p_xzm
+    live = (p_xz[0] > 0.0) & (p_m_given > 0.0)
+    if (live & (p_xzm[1] <= 0.0)).any():
+        raise ZeroProbabilityEvidence("positivity")
+    value = ((p_y[1] - p_y[0]) * p_m_given * p_z)[live].sum()
+    return float(min(1.0, max(-1.0, value)))
+
+
+@st.composite
+def draw_tables(draw):
+    """Tables P(x, Z, M, y) with a leading draw axis; some cells are zeroed, so
+    strata die and positivity fails in some draws."""
+    n_draws, n_z, n_m = draw(st.integers(1, 5)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.random((n_draws,) + (2,) * (n_z + n_m + 2))
+    zero = rng.random(t.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    if draw(st.booleans()) and n_z:
+        zero[:, :, 0] = True  # the stratum z1 = 0 is dead in every draw
+    t[zero] = 0.0
+    t /= np.maximum(t.sum(axis=tuple(range(1, t.ndim)), keepdims=True), 1e-300)
+    return t, n_z, n_m
+
+
+class TestReadersOverDraws:
+    """A reader takes a leading draw axis and returns one estimate per draw:
+    each equals the one-table form applied to that draw, bit for bit, and a
+    positivity failure in any draw raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=draw_tables())
+    def test_each_draw_as_if_read_alone(self, case):
+        t, n_z, n_m = case
+        z = [f"z{i}" for i in range(n_z)]
+        m = [f"m{i}" for i in range(n_m)]
+        dag = Dag(("x", *z, *m, "y"))
+        if n_m:
+            order, read = _nde_reader(dag, "x", "y", frozenset(m), frozenset(z))
+            once = partial(nde_once, n_z=n_z)
+        else:
+            order, read = _ace_reader(dag, "x", "y", frozenset(z))
+            once = ace_once
+        assert order == ("x", *z, *m, "y")
+        try:
+            expected = [once(t[d]) for d in range(len(t))]
+        except ZeroProbabilityEvidence:
+            event("positivity fails in a draw")
+            with pytest.raises(ZeroProbabilityEvidence):
+                read(t)
+            return
+        values = read(t)
+        assert [v.hex() for v in values] == [v.hex() for v in expected]
+        assert [read(t[d][None])[0] for d in range(len(t))] == values
 
 
 class TestEffectsForDag:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalchron import dataset
 from causalchron._rng import spawn_seed
 from causalchron.bayesnet import Dag, local_markov_statements, sample
 from causalchron.causal import CausalRelationTable, RelationRow
@@ -441,7 +442,7 @@ class TestFalsifyMatchesReference:
             return g2(counts)
 
         monkeypatch.setattr(citests, "_g2", one_chunk)
-        monkeypatch.setattr(citests, "_COUNT_BUDGET_BYTES", 1)
+        monkeypatch.setattr(dataset, "_COUNT_BUDGET_BYTES", 1)
         for g in (net.dag, sparse):
             got = falsify(g, data, n_perm=10, seed=4)
             assert got.to_json() == reference_falsify(g, data, n_perm=10, seed=4).to_json()

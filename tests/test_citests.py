@@ -6,8 +6,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalchron import dataset
 from causalchron.dataset import MISSING, ContingencyTable, EventMatrix, contingency, joint_counts
-from causalchron.discovery import ci_test_g2, citests, fisher_exact
+from causalchron.discovery import ci_test_g2, fisher_exact
 from causalchron.discovery.citests import MIN_STRATUM_ROWS, g2_tests
 
 from conftest import fresh_python
@@ -169,12 +170,12 @@ class TestG2TestsMatchOneAtATime:
         m = matrix([f"c{j}" for j in range(d)], values)
         cols = [list(rng.permutation(d)[: n_z + 2]) for _ in range(n_tests)]
         patterns, multiplicity = np.unique(values, axis=0, return_counts=True)
-        original = citests._COUNT_BUDGET_BYTES
-        citests._COUNT_BUDGET_BYTES = budget
+        original = dataset._COUNT_BUDGET_BYTES
+        dataset._COUNT_BUDGET_BYTES = budget
         try:
             statistic, df, p = g2_tests(patterns, multiplicity.astype(np.float64), cols)
         finally:
-            citests._COUNT_BUDGET_BYTES = original
+            dataset._COUNT_BUDGET_BYTES = original
         for s, c in enumerate(cols):
             labels = [m.columns[j] for j in c]
             res = ci_test_g2(m, labels[-2], labels[-1], labels[:-2])
@@ -218,18 +219,21 @@ class TestFisherExact:
     def test_package_import_leaves_scipy_stats_unloaded(self):
         # fisher_exact imports scipy.stats itself, and the G² test and NOTEARS
         # load only the compiled kernels they call, so start-up pays for none
-        # of these packages, and a pipeline run does not import numpy.ma;
-        # importing the packages later binds the very kernels the package calls
+        # of these packages; a pipeline run imports no module at all (numpy.random
+        # loads with the package, numpy.ma never); importing the packages later
+        # binds the very kernels the package calls
         out = fresh_python("""if True:
             import json, sys, tempfile, causalchron, causalchron.cli, causalchron.pipeline
             from causalchron.pipeline import PipelineConfig, ScenarioSpec, run_pipeline
             unloaded = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special",
                         "scipy.optimize._lbfgsb", "scipy.linalg._matfuncs_expm", "scipy.special._ufuncs")
             loaded = [name for name in unloaded if name in sys.modules]
+            before = set(sys.modules)
             with tempfile.TemporaryDirectory() as run_dir:
                 scenario = ScenarioSpec(preset="chain-5", n_rows=300, missing_rate=0.2)
                 run_pipeline(PipelineConfig(scenario=scenario, output_dir=run_dir, falsify_perms=2))
             loaded += [name for name in unloaded + ("numpy.ma",) if name in sys.modules]
+            loaded += sorted(set(sys.modules) - before)
             import scipy.linalg, scipy.optimize, scipy.special, scipy.stats
             from causalchron import _scipy_kernels
             from causalchron.discovery import citests, notears

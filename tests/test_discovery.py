@@ -1,11 +1,15 @@
 """Structure learners: hill climbing, PC, direct ordering, and registry."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, sample
 from causalchron.dataset import EventMatrix
-from causalchron.discovery import get_learner, hc_learn, lingam_learn, pc_learn
+from causalchron.discovery import ci_test_g2, get_learner, hc_learn, lingam_learn, pc, pc_learn
 from causalchron.pipeline import preset_network
 
 from conftest import random_network
@@ -130,6 +134,71 @@ class TestPc:
             bn = preset_network(f"random-6-0.4", seed=s)
             data = sample(bn, 400, seed=s)
             pc_learn(data)  # Dag constructor validates acyclicity
+
+
+def sequential_skeleton(data, alpha):
+    """Stable-skeleton PC one test at a time: a pair stops at its first independent set.
+
+    Returns the skeleton, the separating sets and how many tests an early
+    stop skipped.
+    """
+    nodes = data.columns
+    index = {n: i for i, n in enumerate(nodes)}
+    adjacency = {n: set(nodes) - {n} for n in nodes}
+    sepsets, skipped = {}, 0
+    level = 0
+    while True:
+        frozen = {n: tuple(sorted(adjacency[n], key=index.__getitem__)) for n in nodes}
+        if all(len(frozen[n]) - 1 < level for n in nodes):
+            break
+        for a in nodes:
+            for b in frozen[a]:
+                if index[b] < index[a]:
+                    continue
+                tests = [zs for base, other in ((a, b), (b, a))
+                         for zs in combinations([v for v in frozen[base] if v != other], level)]
+                for k, zs in enumerate(tests):
+                    if ci_test_g2(data, a, b, list(zs)).independent(alpha):
+                        adjacency[a].discard(b)
+                        adjacency[b].discard(a)
+                        sepsets[frozenset((a, b))] = frozenset(zs)
+                        skipped += len(tests) - k - 1
+                        break
+        level += 1
+    return {frozenset((a, b)) for a in nodes for b in adjacency[a]}, sepsets, skipped
+
+
+class TestPcMatchesSequentialReference:
+    """Each skeleton level counts all its tests in one stacked pass and replays
+    the early stop; the result is that of running the tests one at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        n=st.integers(20, 400),
+        alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+    )
+    def test_same_dag_sepsets_and_forced_edges(self, seed, d, n, alpha):
+        rng = np.random.default_rng(seed)
+        data = sample(random_network(rng, d), n, seed=seed % 1000)
+        skeleton, sepsets, skipped = sequential_skeleton(data, alpha)
+        event("a pair stopped early" if skipped else "no test skipped")
+        expected = pc._orient(data.columns, skeleton, sepsets)
+        result = pc_learn(data, alpha)
+        assert result.separating_sets == sepsets
+        assert result.dag == expected.dag
+        assert result.order_forced_edges == expected.order_forced_edges
+
+    def test_early_stops_occur(self):
+        # the replay matters: some pairs have independent sets after their first one
+        skipped = 0
+        for seed in range(10):
+            data = sample(random_network(np.random.default_rng(seed), 6), 300, seed=seed)
+            skeleton, sepsets, k = sequential_skeleton(data, 0.2)
+            skipped += k
+            assert pc_learn(data, 0.2).separating_sets == sepsets
+        assert skipped > 0
 
 
 def ordered_pair_loop(centered):

@@ -297,7 +297,8 @@ VALID_DOCS = st.fixed_dictionaries(
             "pc": st.fixed_dictionaries({}, optional={"alpha": st.sampled_from([0.01, 0.05, 1])}),
             "lingam": st.fixed_dictionaries({}, optional={"threshold": st.sampled_from([0, 0.1, 0.5])}),
         }),
-        "refutations": st.just("none"),
+        # "all" runs every refutation of every edge through the readers over draws
+        "refutations": st.sampled_from(["none", "all"]),
         "reference_models": st.just([]),
         "falsify_perms": st.sampled_from([0, 1, 3]),
         "seed": st.integers(0, 2**40),
@@ -342,7 +343,6 @@ class TestConfigDocuments:
             out = Path(tmp) / "run"
             doc = {
                 "scenario": {"preset": "chain-4", "n_rows": 50, "missing_rate": 0.2, "seed": 3},
-                "refutations": "none",
                 **doc,
                 "output_dir": str(out),
             }
@@ -352,7 +352,7 @@ class TestConfigDocuments:
                 event("rejected at construction")
                 assert not out.exists()
                 return
-            event("ran")
+            event(f"ran with refutations={cfg.refutations}")
             try:
                 run_pipeline(cfg)
             except StageFailure as exc:
