@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .dataset import MISSING, EventMatrix, assignment_index, joint_counts, stacked_counts
+from .dataset import MISSING, EventMatrix, assignment_index, stacked_counts
 
 __all__ = [
     "reachable",
@@ -166,9 +166,6 @@ class Dag:
 
     def ancestors(self, node: str) -> frozenset[str]:
         return frozenset(reachable(self._parents[node], self._parents.__getitem__))
-
-    def has_path(self, src: str, dst: str) -> bool:
-        return dst in self.descendants(src)
 
     def with_edges(self, add: Iterable[tuple[str, str]] = (), remove: Iterable[tuple[str, str]] = ()) -> "Dag":
         return Dag(self.nodes, (self.edges - frozenset(remove)) | frozenset(add))
@@ -494,19 +491,30 @@ def _require_fittable(values: np.ndarray, ess: float) -> None:
         raise ValueError("ess must be non-negative")
 
 
-def _cpt_from_counts(counts: np.ndarray, ess: float) -> np.ndarray:
-    """P(node=1 | assignment), shape ``(..., K)``, from the joint counts of (parents, node).
+def _fit_p1(g: Dag, patterns: np.ndarray, counts: np.ndarray, ess: float) -> dict[str, np.ndarray]:
+    """P(node=1 | parents) of every node of ``g``, fitted on each draw's pattern counts.
 
-    ``counts`` has shape ``(..., K, 2)``: the K parent assignments in
-    binary counting order, then the node's value.  P(node=1 | assignment) =
-    (count1 + ess/2) / (count + ess); an assignment with zero denominator
-    (ess=0, never observed) gets 0.5.  Leading axes (independent draws)
-    are elementwise.
+    ``patterns`` holds complete rows over the columns of ``g.nodes`` in
+    that order (a pattern may repeat; its counts add up), and ``counts``
+    one row of pattern counts per draw, shape (D, n_patterns).  Each
+    node's (parents, node) counts are summed from the pattern counts of
+    every draw in one bincount, so memory is D x n_patterns; float64 sums
+    of integer counts below 2**53 are exact.  The result for a node with
+    k parents has shape (D, 2**k), parent assignments in binary counting
+    order: P(node=1 | assignment) = (count1 + ess/2) / (count + ess), and
+    an assignment with zero denominator (ess=0, never observed) gets 0.5.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    n1, n = counts[..., 1], counts.sum(axis=-1)
-    denom = n + ess
-    return np.divide(n1 + ess / 2.0, denom, out=np.full_like(denom, 0.5), where=denom > 0)
+    draw = np.arange(len(counts))[:, None]
+    weights = counts.astype(np.float64).ravel()
+    p1 = {}
+    for n in g.nodes:
+        cells = 2 << len(g.parents(n))
+        local = assignment_index(patterns, [g._index[v] for v in (*g.parents(n), n)])
+        joint = np.bincount((draw * cells + local).ravel(), weights, minlength=len(counts) * cells)
+        joint = joint.reshape(len(counts), -1, 2)
+        denom = joint.sum(axis=-1) + ess
+        p1[n] = np.divide(joint[..., 1] + ess / 2.0, denom, out=np.full_like(denom, 0.5), where=denom > 0)
+    return p1
 
 
 def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
@@ -515,26 +523,23 @@ def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
     P(node=1 | assignment) = (count1 + ess/2) / (count + ess).  With
     ess=0 this is the maximum-likelihood estimate; parent assignments
     never observed then fall back to 0.5 (the limit of the prior mean).
+    The tables are the one-draw case of :func:`_fit_p1` over the
+    distinct rows (``data.row_patterns``).
     """
     rows, _, weights = data.row_patterns
     _require_fittable(rows, ess)
     missing_nodes = set(g.nodes) - set(data.columns)
     if missing_nodes:
         raise KeyError(f"nodes absent from data: {sorted(missing_nodes)}")
-    cpts = []
-    for node in g.nodes:
-        parents = g.parents(node)
-        cols = [data.column_index(p) for p in parents] + [data.column_index(node)]
-        counts = joint_counts(rows, cols, weights).reshape(-1, 2)
-        cpts.append(Cpt(node, parents, _cpt_from_counts(counts, ess)))
-    return DiscreteBayesNet(g, tuple(cpts))
+    p1 = _fit_p1(g, rows[:, [data.column_index(n) for n in g.nodes]], weights[None], ess)
+    return DiscreteBayesNet(g, tuple(Cpt(n, g.parents(n), p1[n][0]) for n in g.nodes))
 
 
-def log_likelihood(bn: DiscreteBayesNet, data: EventMatrix, floor: float = DEFAULT_LL_FLOOR) -> float:
+def log_likelihood(bn: DiscreteBayesNet, data: EventMatrix) -> float:
     """Sum over rows and nodes of ln P(value | parent values).
 
-    Exact zeros are replaced by ``floor`` so the result is finite even for
-    maximum-likelihood tables with empty cells.
+    Exact zeros are replaced by ``DEFAULT_LL_FLOOR`` so the result is
+    finite even for maximum-likelihood tables with empty cells.
     """
     _require_complete(data.values)
     total = 0.0
@@ -544,7 +549,7 @@ def log_likelihood(bn: DiscreteBayesNet, data: EventMatrix, floor: float = DEFAU
         idx = assignment_index(data.values, parent_cols)
         p1 = cpt.p1[idx]
         p = np.where(data.values[:, node_col] == 1, p1, 1.0 - p1)
-        total += float(np.log(np.maximum(p, floor)).sum())
+        total += float(np.log(np.maximum(p, DEFAULT_LL_FLOOR)).sum())
     return total
 
 

@@ -23,14 +23,14 @@ from .bayesnet import (
     DiscreteBayesNet,
     ZeroProbabilityEvidence,
     _conditional_table,
-    _cpt_from_counts,
+    _fit_p1,
     _require_fittable,
     d_separated,
     fit_cpts,  # noqa: F401  unused here; perfbench/tracer.py patches causal.fit_cpts by name
     marginal,
     query,
 )
-from .dataset import EventMatrix, assignment_index
+from .dataset import EventMatrix
 
 __all__ = [
     "EffectEstimate",
@@ -367,31 +367,6 @@ def _refit_plan(
     return dag._memo[key]
 
 
-def _refit_tables(
-    sub: Dag, patterns: np.ndarray, counts: np.ndarray, ess: float
-) -> dict[str, np.ndarray]:
-    """The table P(node | parents) of every node of ``sub``, refitted on each draw's pattern counts.
-
-    ``patterns`` holds distinct rows over the columns of ``sub.nodes`` in
-    that order (a pattern may repeat; its counts add up), and ``counts``
-    one row of pattern counts per draw, shape (D, n_patterns).  Each
-    node's (parents, node) counts are summed from the pattern counts of
-    every draw in one bincount, so memory is D x n_patterns.  The tables
-    have shape ``(D,) + (2,) * (k + 1)``.
-    """
-    draw = np.arange(len(counts))[:, None]
-    weights = counts.astype(np.float64).ravel()
-    tables = {}
-    for n in sub.nodes:
-        ps = sub.parents(n)
-        cells = 2 << len(ps)
-        local = assignment_index(patterns, [sub._index[v] for v in (*ps, n)])
-        # float64 sums of integer counts below 2**53 are exact
-        joint = np.bincount((draw * cells + local).ravel(), weights, minlength=len(counts) * cells)
-        tables[n] = _conditional_table(_cpt_from_counts(joint.reshape(len(counts), -1, 2), ess), len(ps))
-    return tables
-
-
 def refute(
     bn: DiscreteBayesNet,
     data: EventMatrix,
@@ -415,7 +390,7 @@ def refute(
     column appended) and count one draw of the ids ``id + n_patterns *
     coin``.  No row is sorted.  All kinds share one refit: the CPTs of the
     ancestral closure of treatment and outcome are counted for every draw
-    at once (:func:`_refit_tables`), one elimination with a leading draw
+    at once (``bayesnet._fit_p1``), one elimination with a leading draw
     axis gives the estimand's table per draw, and the refuted value is the
     mean estimate over the draws.  The result is the same as refitting the
     whole network per draw on the perturbed matrix.
@@ -465,7 +440,9 @@ def refute(
     _require_fittable(patterns, ess)
     sub, order, read = _refit_plan(dag, x, y, estimate.estimand_kind)
     sub_patterns = patterns[:, [columns.index(n) for n in sub.nodes]]
-    t = marginal(sub, _refit_tables(sub, sub_patterns, counts, ess), order, draws=True)
+    p1 = _fit_p1(sub, sub_patterns, counts, ess)
+    tables = {n: _conditional_table(p1[n], len(sub.parents(n))) for n in sub.nodes}
+    t = marginal(sub, tables, order, draws=True)
     refuted = float(np.mean(read(t)))
     return RefutationResult(kind, refuted, abs(refuted - center) <= tol, tol)
 

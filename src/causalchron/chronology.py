@@ -26,6 +26,7 @@ from .bayesnet import (
     fit_cpts,
     local_markov_statements,
     log_likelihood,
+    reachable,
     topological_levels,
 )
 from .causal import CausalRelationTable, RelationRow
@@ -226,27 +227,25 @@ def deterministic_chronology(
         for t, p, padj in zip(pairs, pvalues, adjusted)
     )
 
-    # simultaneity groups: union-find over dependent ties
-    parent = {c: c for c in labels}
-
-    def find(c: str) -> str:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    # simultaneity groups: the components of the graph of dependent ties, each
+    # labelled by its members and ordered by its smallest label; the group
+    # nodes follow the column order of their first members
+    ties: dict[str, list[str]] = {c: [] for c in labels}
     for d in decisions:
         if d.dependent and d.table.n10 == d.table.n01:
-            ra, rb = find(d.table.a), find(d.table.b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    members: dict[str, list[str]] = {}
+            ties[d.table.a].append(d.table.b)
+            ties[d.table.b].append(d.table.a)
+    label_of: dict[str, str] = {}
+    node_order: list[str] = []
+    merged = []
     for c in labels:
-        members.setdefault(find(c), []).append(c)
-    group_label = {root: GROUP_JOIN.join(sorted(ms)) for root, ms in members.items()}
-    label_of = {c: group_label[find(c)] for c in labels}
-    groups = tuple(frozenset(ms) for root, ms in sorted(members.items()) if len(ms) > 1)
+        if c not in label_of:
+            component = reachable([c], ties.__getitem__)
+            node_order.append(GROUP_JOIN.join(sorted(component)))
+            label_of.update(dict.fromkeys(component, node_order[-1]))
+            if len(component) > 1:
+                merged.append(frozenset(component))
+    groups = tuple(sorted(merged, key=min))
 
     # orient dependent non-tied pairs, contracted onto group labels
     margins: dict[tuple[str, str], int] = {}
@@ -267,14 +266,6 @@ def deterministic_chronology(
     dependent_nodes = {label_of[d.table.a] for d in decisions if d.dependent} | {
         label_of[d.table.b] for d in decisions if d.dependent
     }
-    node_order = []
-    seen = set()
-    for c in labels:
-        lab = label_of[c]
-        if lab not in seen:
-            seen.add(lab)
-            node_order.append(lab)
-
     edges = set(margins)
     warnings: list[str] = []
     while in_cycle := cycle_edges(edges):
@@ -418,7 +409,7 @@ def falsify(
     rows are keyed once by distinct pattern, and ``g2_tests`` counts all
     statements of one conditioning-set size in one stacked pass.  Its
     packed index is built in chunks of about
-    ``citests._COUNT_BUDGET_BYTES`` (64 KiB), so memory beyond the data
+    ``dataset._COUNT_BUDGET_BYTES`` (64 KiB), so memory beyond the data
     stays at the (relabelings x statements x nodes) statement keys, one
     byte each for up to 255 nodes, plus one chunk.  Marginal statements
     count pairwise-complete rows; a statement with a non-empty

@@ -30,7 +30,6 @@ __all__ = [
     "load_reads",
     "save_reads",
     "assignment_index",
-    "joint_counts",
     "stacked_counts",
     "contingency",
     "cooccurrence_counts",
@@ -202,9 +201,6 @@ class ContingencyTable:
     def total(self) -> int:
         return self.n00 + self.n01 + self.n10 + self.n11
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.n00, self.n01], [self.n10, self.n11]], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class MissingnessProfile:
@@ -300,19 +296,6 @@ def assignment_index(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     return idx
 
 
-def joint_counts(
-    values: np.ndarray, cols: Sequence[int], weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Row counts of every assignment of the binary columns ``cols``.
-
-    Entries follow binary counting order with the first column as the
-    high bit, so the result reshapes to ``(2,) * len(cols)``.  With
-    ``weights`` (for instance the pattern counts of distinct rows), row i
-    counts ``weights[i]`` times and the counts are float64.
-    """
-    return np.bincount(assignment_index(values, cols), weights, minlength=1 << len(cols))
-
-
 # Size budget of one chunk's (rows x statements) packed index; its integer
 # copy and the broadcast weights take as much again each.  Statements are
 # independent, so chunking never changes a count, only peak memory; a
@@ -323,7 +306,7 @@ _COUNT_BUDGET_BYTES = 64 * 2**10
 def stacked_counts(
     rows: np.ndarray, weights: np.ndarray, cols: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """``joint_counts`` of many column tuples over weighted rows, one chunk of tuples at a time.
+    """Weighted row counts of every assignment of many column tuples, one chunk of tuples at a time.
 
     ``rows`` holds cells (0, 1 or MISSING), usually one row per distinct
     record pattern (``EventMatrix.row_patterns``), and ``weights`` each
@@ -363,16 +346,16 @@ def stacked_counts(
 def contingency(m: EventMatrix, a: str, b: str) -> ContingencyTable:
     """Joint 2x2 counts of (a, b) over rows where both are observed.
 
-    Rows with a missing cell in either column are omitted.  A pair with no
+    Rows with a missing cell in either column are omitted: the one tuple
+    of a ``stacked_counts`` pass over ``m.row_patterns``.  A pair with no
     jointly observed rows yields an empty table (total 0) rather than an
     error so that batch pairwise scans can skip it.
     """
     if a == b:
         raise ValueError("contingency requires two distinct columns")
-    cols = [m.column_index(a), m.column_index(b)]
-    both = (m.values[:, cols] != MISSING).all(axis=1)
-    counts = joint_counts(m.values[both], cols)
-    return ContingencyTable(a, b, int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
+    rows, _, weights = m.row_patterns
+    _, counts = next(stacked_counts(rows, weights, np.array([[m.column_index(a), m.column_index(b)]])))
+    return ContingencyTable(a, b, *(int(c) for c in counts[0]))
 
 
 def cooccurrence_counts(m: EventMatrix, target: str) -> dict[frozenset[str], int]:

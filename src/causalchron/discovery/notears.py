@@ -51,12 +51,20 @@ __all__ = [
 #: the allowed values of the parameters :func:`notears_learn` checks
 PARAM_RANGES = {"lambda1": (lambda v: v >= 0, "non-negative")}
 
+#: the solver settings of :func:`_augmented_lagrangian`: dual updates, the
+#: acyclicity tolerance, the penalty cap, h's required shrink, inner iterations
+MAX_OUTER = 100
+H_TOL = 1e-8
+RHO_MAX = 1e16
+PROGRESS_RATE = 0.25
+LBFGS_MAXITER = 1000
+
 #: ``setulb``'s relative-reduction tolerance at scipy's default ``ftol``
 _FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 
 
 class NotearsConvergenceError(RuntimeError):
-    """The augmented Lagrangian hit the penalty cap before h <= h_tol, or an
+    """The augmented Lagrangian hit the penalty cap before h <= H_TOL, or an
     inner solve ended at a non-finite objective or h (then ``h_final`` is not
     finite)."""
 
@@ -211,14 +219,14 @@ def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
     return _run(_lbfgsb_steps(x0, args, lower, upper, nbd, maxiter), fun)
 
 
-def _augmented_lagrangian(d, max_outer, h_tol, rho_max, progress_rate, lbfgs_maxiter):
+def _augmented_lagrangian(d):
     """The outer loop of Zheng et al. (NeurIPS 2018), as a generator.
 
     Yields each inner problem as the arguments of :func:`_lbfgsb_steps`,
-    ``(x0, (rho, alpha), lower, upper, nbd, lbfgs_maxiter)``, takes the
+    ``(x0, (rho, alpha), lower, upper, nbd, LBFGS_MAXITER)``, takes the
     solve's result back and returns the final [W+, W-].  The dual variable
     is updated as alpha += rho * h, and rho grows tenfold whenever h fails
-    to shrink by ``progress_rate``.  Raises :class:`NotearsConvergenceError`
+    to shrink by ``PROGRESS_RATE``.  Raises :class:`NotearsConvergenceError`
     when the penalty cap is reached first or a solve ends non-finite.
     """
     # W+ and W- are non-negative, and their diagonals are pinned to 0
@@ -228,23 +236,23 @@ def _augmented_lagrangian(d, max_outer, h_tol, rho_max, progress_rate, lbfgs_max
     nbd = np.where(pinned, 2, 1).astype(np.int32)
     vec = np.zeros(2 * d * d)
     rho, alpha, h_val = 1.0, 0.0, np.inf
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         while True:
-            x, f, *_ = yield vec, (rho, alpha), lower, upper, nbd, lbfgs_maxiter
+            x, f, *_ = yield vec, (rho, alpha), lower, upper, nbd, LBFGS_MAXITER
             h_new = acyclicity_h(_unpack(x, d))[0] if np.isfinite(f) else np.nan
             # every test below is False for NaN, so a non-finite solve stops here
             if not np.isfinite(h_new):
                 raise NotearsConvergenceError(h_new, rho)
-            if h_new > progress_rate * h_val and rho < rho_max:
+            if h_new > PROGRESS_RATE * h_val and rho < RHO_MAX:
                 rho *= 10.0
             else:
                 break
         vec = x
         h_val = h_new
         alpha += rho * h_val
-        if h_val <= h_tol or rho >= rho_max:
+        if h_val <= H_TOL or rho >= RHO_MAX:
             break
-    if not h_val <= h_tol:
+    if not h_val <= H_TOL:
         raise NotearsConvergenceError(h_val, rho)
     return vec
 
@@ -306,26 +314,20 @@ def notears_learn(
     lambda1: float = 0.1,
     omega: float = 0.3,
     standardize: bool = False,
-    *,
-    max_outer: int = 100,
-    h_tol: float = 1e-8,
-    rho_max: float = 1e16,
-    progress_rate: float = 0.25,
-    lbfgs_maxiter: int = 1000,
 ) -> tuple[WeightedAdjacency, Dag]:
     """Fit the weighted adjacency and threshold it into a DAG.
 
     Each inner problem is solved to the end by :func:`_lbfgsb`.  Raises
     :class:`NotearsConvergenceError` (carrying the final h) when the penalty
     cap is reached first or an inner solve ends non-finite; converged runs
-    always satisfy h <= h_tol.
+    always satisfy h <= H_TOL.
     """
     check_ranges(PARAM_RANGES, {"lambda1": lambda1})
     if not data.is_complete:
         raise ValueError("notears requires complete data")
     gram = gram_matrix(data.values, standardize)
     objective = partial(_objective, gram, lambda1)
-    problems = _augmented_lagrangian(data.n_cols, max_outer, h_tol, rho_max, progress_rate, lbfgs_maxiter)
+    problems = _augmented_lagrangian(data.n_cols)
     vec = _run(problems, lambda *problem: _lbfgsb(objective, *problem))
     return _adjacency(data.columns, vec, omega)
 
@@ -333,9 +335,9 @@ def notears_learn(
 def notears_lockstep(
     labels: tuple[str, ...], grams: np.ndarray, lambdas: np.ndarray, omega: float
 ) -> list[tuple[WeightedAdjacency, Dag] | None]:
-    """:func:`notears_learn` at its default solver settings on K problems at
-    once, one per Gram matrix (``grams`` (K, d, d), from :func:`gram_matrix`) and
-    ``lambdas`` entry; None marks a cell whose fit failed.
+    """:func:`notears_learn` on K problems at once, one per Gram matrix
+    (``grams`` (K, d, d), from :func:`gram_matrix`) and ``lambdas`` entry;
+    None marks a cell whose fit failed.
 
     Each cell is a resumable augmented Lagrangian with its own L-BFGS-B work
     arrays, unchanged-x memo and rho/alpha schedule.  Every round evaluates
@@ -345,7 +347,7 @@ def notears_lockstep(
     the others go on.
     """
     d = len(labels)
-    cells = [_resumable(_augmented_lagrangian(d, **notears_learn.__kwdefaults__)) for _ in lambdas]
+    cells = [_resumable(_augmented_lagrangian(d)) for _ in lambdas]
     fits: list[tuple[WeightedAdjacency, Dag] | None] = [None] * len(cells)
     waiting: dict[int, tuple] = {}  # cell -> the (x, rho, alpha) it waits on
 

@@ -148,7 +148,7 @@ class TestGraphWalks:
         for n in nodes:
             assert g.descendants(n) == nx.descendants(ref, n)
             assert g.ancestors(n) == nx.ancestors(ref, n)
-            assert all(g.has_path(n, m) == nx.has_path(ref, n, m) for m in nodes if m != n)
+            assert all((m in g.descendants(n)) == nx.has_path(ref, n, m) for m in nodes if m != n)
         assert cycle_edges(edges) == frozenset()
 
     @settings(max_examples=200, deadline=None)
@@ -209,6 +209,27 @@ class TestFitCpts:
         bn = fit_cpts(Dag(("p", "x"), [("p", "x")]), data, ess=0.0)
         assert bn.cpt("x").p1[1] == pytest.approx(0.75)
         assert bn.cpt("x").p1[0] == pytest.approx(0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 80), st.sampled_from([0.0, 1.0]))
+    def test_matches_row_by_row_counts(self, seed, d, n, ess):
+        # the tables count (parents, node) over the distinct rows of columns the data
+        # may order differently; a per-row count must give the same floats
+        rng = np.random.default_rng(seed)
+        truth = random_network(rng, d)
+        sampled = sample(truth, n, seed=seed)
+        perm = rng.permutation(d)
+        data = EventMatrix(tuple(sampled.columns[j] for j in perm), sampled.values[:, perm])
+        bn = fit_cpts(truth.dag, data, ess=ess)
+        rows = [dict(zip(data.columns, r)) for r in data.values.tolist()]
+        for node in truth.dag.nodes:
+            parents = truth.dag.parents(node)
+            expected = []
+            for bits in itertools.product((0, 1), repeat=len(parents)):  # first parent high
+                matched = [r[node] for r in rows if all(r[p] == b for p, b in zip(parents, bits))]
+                denom = len(matched) + ess
+                expected.append((sum(matched) + ess / 2.0) / denom if denom > 0 else 0.5)
+            assert bn.cpt(node).p1.tolist() == expected
 
     def test_rejects_missing_cells(self):
         data = EventMatrix(("x",), np.array([[-1]], dtype=np.int8))

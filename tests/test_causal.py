@@ -7,7 +7,17 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from causalchron._rng import spawn_seed
-from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, ZeroProbabilityEvidence, fit_cpts, marginal, sample
+from causalchron.bayesnet import (
+    Cpt,
+    Dag,
+    DiscreteBayesNet,
+    ZeroProbabilityEvidence,
+    _conditional_table,
+    _fit_p1,
+    fit_cpts,
+    marginal,
+    sample,
+)
 from causalchron.causal import (
     ABS_TOLERANCE,
     SUBSET_ABS_TOLERANCE,
@@ -23,7 +33,7 @@ from causalchron.causal import (
     nde,
     refute,
 )
-from causalchron.causal import _ace_reader, _nde_reader, _refit_plan, _refit_tables
+from causalchron.causal import _ace_reader, _nde_reader, _refit_plan
 from causalchron.dataset import EventMatrix
 
 from conftest import random_network
@@ -474,7 +484,9 @@ class TestRefutations:
             kind = "NDE" if mediators(truth.dag, x, y) else "ACE"
             sub, order, _ = _refit_plan(truth.dag, x, y, kind)
             values = patterns[:, [data.column_index(v) for v in sub.nodes]]
-            batched = marginal(sub, _refit_tables(sub, values, counts, ess), order, draws=True)
+            p1 = _fit_p1(sub, values, counts, ess)
+            tables = {v: _conditional_table(p1[v], len(sub.parents(v))) for v in sub.nodes}
+            batched = marginal(sub, tables, order, draws=True)
             per_draw = np.stack(
                 [fit_cpts(sub, data.replace_values(data.values[r]), ess=ess).marginal(order) for r in rows]
             )

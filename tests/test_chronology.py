@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from causalchron import dataset
@@ -177,6 +177,38 @@ class TestDeterministicChronology:
         assert baseline.groups == (frozenset({"a", "b"}),)
         assert "a+b" in baseline.dag.nodes
         assert baseline.dag.edges == frozenset()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 7),
+        n_base=st.integers(1, 4),
+        n=st.integers(20, 200),
+        noise=st.sampled_from([0.02, 0.2]),
+        missing=st.sampled_from([0.0, 0.1]),
+    )
+    def test_groups_are_the_components_of_the_tie_graph(self, seed, d, n_base, n, noise, missing):
+        nx = pytest.importorskip("networkx")
+        # columns copied from a few base columns tie; copies with flipped cells tie rarely
+        rng = np.random.default_rng(seed)
+        base = rng.random((n, n_base)) < rng.uniform(0.2, 0.8, size=n_base)
+        flips = (rng.random((n, d)) < noise) & (rng.random(d) < 0.3)
+        values = (base[:, rng.integers(0, n_base, size=d)] ^ flips).astype(np.int8)
+        values[rng.random((n, d)) < missing] = MISSING
+        labels = tuple(rng.permutation([f"e{j}" for j in range(d)]).tolist())
+        baseline = deterministic_chronology(EventMatrix(labels, values))
+
+        ties = nx.Graph()
+        ties.add_nodes_from(labels)
+        ties.add_edges_from(
+            (t.a, t.b) for t in (dec.table for dec in baseline.decisions if dec.dependent) if t.n10 == t.n01
+        )
+        components = [frozenset(c) for c in nx.connected_components(ties)]
+        merged = sorted((c for c in components if len(c) > 1), key=min)
+        event(f"{len(merged)} simultaneity group(s)")
+        assert baseline.groups == tuple(merged)
+        group_of = {v: "+".join(sorted(c)) for c in components for v in c}
+        assert baseline.dag.nodes == tuple(dict.fromkeys(group_of[v] for v in labels))
 
     def test_independent_columns_isolated(self):
         rng = np.random.default_rng(1)

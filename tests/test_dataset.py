@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from causalchron import dataset
 from causalchron.dataset import (
     MISSING,
     EventMatrix,
@@ -13,10 +16,10 @@ from causalchron.dataset import (
     cooccurrence_counts,
     distinct_rows,
     exclude_events,
-    joint_counts,
     load_reads,
     missingness_profile,
     save_reads,
+    stacked_counts,
 )
 
 
@@ -220,22 +223,39 @@ class TestContingency:
         assert t.total == int(both.sum())
 
 
+@settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 40).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), min_size=n, max_size=n),
-            st.lists(st.integers(0, 3), min_size=0, max_size=4, unique=True),
+    st.tuples(st.integers(1, 40), st.integers(1, 4), st.integers(1, 8)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(
+                st.lists(st.sampled_from([0, 1, MISSING]), min_size=4, max_size=4),
+                min_size=shape[0],
+                max_size=shape[0],
+            ),
+            st.lists(st.integers(1, 5), min_size=shape[0], max_size=shape[0]),
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=shape[1], max_size=shape[1], unique=True),
+                min_size=shape[2],
+                max_size=shape[2],
+            ),
         )
-    )
+    ),
+    st.sampled_from([1, 2**10, 2**16]),
 )
-def test_joint_counts_in_binary_counting_order(case):
-    rows, cols = case
+def test_stacked_counts_in_binary_counting_order_skipping_missing(case, budget):
+    rows, weights, tuples = case
     values = np.array(rows, dtype=np.int8)
-    counts = joint_counts(values, cols)
-    assert counts.shape == (1 << len(cols),)
-    for k, count in enumerate(counts):
-        bits = [(k >> (len(cols) - 1 - i)) & 1 for i in range(len(cols))]  # first column high
-        assert count == sum(all(row[j] == b for j, b in zip(cols, bits)) for row in rows)
+    cols = np.array(tuples, dtype=np.intp)
+    with mock.patch.object(dataset, "_COUNT_BUDGET_BYTES", budget):
+        chunks = list(stacked_counts(values, np.array(weights), cols))
+    assert [lo for lo, _ in chunks] == list(np.cumsum([0] + [len(c) for _, c in chunks])[:-1])
+    counts = np.concatenate([c for _, c in chunks])
+    assert counts.shape == (len(cols), 1 << cols.shape[1])
+    for tup, tuple_counts in zip(tuples, counts):
+        for k, count in enumerate(tuple_counts):
+            bits = [(k >> (len(tup) - 1 - i)) & 1 for i in range(len(tup))]  # first column high
+            # a row missing any cell of the tuple matches no assignment, so it is not counted
+            assert count == sum(w for row, w in zip(rows, weights) if [row[j] for j in tup] == bits)
 
 
 class TestCooccurrence:

@@ -254,13 +254,15 @@ class TestNotearsLearn:
         with pytest.raises(ValueError, match="complete"):
             notears_learn(m)
 
-    def test_convergence_failure_reports_final_h(self):
+    def test_convergence_failure_reports_final_h(self, monkeypatch):
         from causalchron.discovery import NotearsConvergenceError
 
         data = sample(preset_network("chain-4"), 500, seed=10)
+        # a penalty cap below the starting penalty cannot enforce acyclicity
+        monkeypatch.setattr(notears, "RHO_MAX", 1.0)
+        monkeypatch.setattr(notears, "H_TOL", 1e-300)
         with pytest.raises(NotearsConvergenceError) as err:
-            # a penalty cap below the starting penalty cannot enforce acyclicity
-            notears_learn(data, lambda1=1e-6, rho_max=1.0, h_tol=1e-300)
+            notears_learn(data, lambda1=1e-6)
         assert err.value.h_final >= 0.0
 
 
@@ -353,9 +355,9 @@ class TestLbfgsbDriver:
             statuses.append(status)
             return x, f, nfev, nit, status
 
-        with mock.patch.object(notears, "_lbfgsb", compared):
+        with mock.patch.object(notears, "_lbfgsb", compared), mock.patch.object(notears, "LBFGS_MAXITER", maxiter):
             try:
-                notears_learn(data, lambda1=lambda1, lbfgs_maxiter=maxiter)
+                notears_learn(data, lambda1=lambda1)
             except NotearsConvergenceError:
                 pass
         return statuses
@@ -594,7 +596,7 @@ class TestLockstep:
     @pytest.mark.parametrize("rho_max", [1e16, 1e3])
     def test_report_and_every_fit_match_per_cell_notears_learn(self, monkeypatch, rho_max):
         # at a penalty cap of 1e3 the dense cells fail and the sparse ones converge
-        monkeypatch.setitem(notears.notears_learn.__kwdefaults__, "rho_max", rho_max)
+        monkeypatch.setattr(notears, "RHO_MAX", rho_max)
         data = sample(preset_network("chain-4"), 300, seed=12)
         kwargs = dict(lambda_grid=default_lambda_grid(1e-3, 0.5, 4), n_resamples=3, seed=5)
         cells = list(self.subsamples(data, **kwargs))
