@@ -26,11 +26,13 @@ again and binds the very function objects returned here.
 :func:`expm` is scipy 1.17's ``scipy.linalg.expm`` for real float64 input on
 those kernels, so every slice keeps its bits (tests/test_notears.py checks
 that against the installed scipy).  It classifies all slices of a stack in
-one pass instead of calling scipy's per-slice ``bandwidth`` wrapper.
+one pass instead of calling scipy's per-slice ``bandwidth`` wrapper, and
+runs the Padé kernels in place on the slices of one stacked scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -84,50 +86,85 @@ def _exp_sinch(x: np.ndarray) -> np.ndarray:
     return lexp_diff
 
 
-def _pade_square(aw: np.ndarray, am: np.ndarray, lower: bool, upper: bool) -> np.ndarray:
-    """exp(aw) of one slice with entries off the diagonal, on the scratch
-    ``am`` (5, n, n); ``lower``/``upper`` tell whether it has entries below
-    and above the diagonal.  The body of scipy's per-slice loop."""
-    am[0] = aw
-    m, s = _pade.pick_pade_structure(am)  # scales am by 2**-s
-    info = _pade.pade_UV_calc(am, m) if m >= 0 else m
-    if info != 0:
-        raise RuntimeError(f"the expm Padé kernels failed (error code {info})")
-    eaw = am[0]
-    if s != 0 and lower and upper:
+@functools.cache
+def _off_diagonal(n: int) -> np.ndarray:
+    """(n * n, 2) flags of the flat entries of an (n, n) matrix below and
+    above the diagonal: a stack's ``(flat != 0) @`` them tells, per slice,
+    whether it has an entry there (NaN counts, as it does for ``any``).
+    Read-only, as every later call shares it."""
+    below = np.tri(n, k=-1, dtype=bool)
+    flags = np.stack([below.ravel(), below.T.ravel()], axis=1)
+    flags.flags.writeable = False
+    return flags
+
+
+def _pade_squared(slices: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """exp of each slice of a (G, n, n) stack whose slices have entries off
+    the diagonal; ``nonzero`` (G, 2) tells whether a slice has entries below
+    and above it.  The body of scipy's per-slice loop, on one (G, 5, n, n)
+    scratch: the Padé kernels run in place on each slice's (5, n, n) view,
+    then each slice scaled by 2**-s with s > 0 squares back (see
+    :func:`_squared`).  Returns a view of the scratch."""
+    am = np.empty((len(slices), 5, *slices.shape[1:]))
+    am[:, 0] = slices
+    powers = []
+    pick, pade_uv = _pade.pick_pade_structure, _pade.pade_UV_calc
+    for view in am:
+        m, s = pick(view)  # scales view[0] by 2**-s
+        info = pade_uv(view, m) if m >= 0 else m
+        if info != 0:
+            raise RuntimeError(f"the expm Padé kernels failed (error code {info})")
+        powers.append(s)
+    eaw = am[:, 0]
+    lower, upper = nonzero.T
+    for k in np.flatnonzero(powers):
+        eaw[k] = _squared(slices[k], eaw[k], powers[k], lower[k], upper[k])
+    # zero the part of a triangular slice's result that scipy leaves at zero
+    for keep, zeroed in ((lower & ~upper, np.tril), (upper & ~lower, np.triu)):
+        if keep.any():
+            eaw[keep] = zeroed(eaw[keep])
+    return eaw
+
+
+def _squared(aw: np.ndarray, eaw: np.ndarray, s: int, lower: bool, upper: bool) -> np.ndarray:
+    """Undo the 2**-s scaling of exp(aw): square a generic slice s times; for
+    a triangular one, Code Fragment 2.1 of Al-Mohy & Higham (2009), which
+    recomputes the diagonal and the first sub- (``lower``) or superdiagonal
+    exactly at every squaring."""
+    if lower and upper:
         for _ in range(s):
             eaw = eaw @ eaw
-    elif s != 0:  # triangular: Code Fragment 2.1 of Al-Mohy & Higham (2009)
-        diag_aw = np.diag(aw)
-        np.einsum("ii->i", eaw)[:] = np.exp(diag_aw * 2 ** (-s))
-        sd = np.diag(aw, k=-1 if lower else 1)
-        for i in range(s - 1, -1, -1):
-            eaw = eaw @ eaw
-            np.einsum("ii->i", eaw)[:] = np.exp(diag_aw * 2.0 ** (-i))
-            exp_sd = _exp_sinch(diag_aw * (2.0 ** (-i))) * (sd * 2 ** (-i))
-            np.einsum("ii->i", eaw[1:, :-1] if lower else eaw[:-1, 1:])[:] = exp_sd
-    if not upper:
-        return np.tril(eaw)
-    return eaw if lower else np.triu(eaw)
+        return eaw
+    diag_aw = np.diag(aw)
+    np.einsum("ii->i", eaw)[:] = np.exp(diag_aw * 2 ** (-s))
+    sd = np.diag(aw, k=-1 if lower else 1)
+    for i in range(s - 1, -1, -1):
+        eaw = eaw @ eaw
+        np.einsum("ii->i", eaw)[:] = np.exp(diag_aw * 2.0 ** (-i))
+        exp_sd = _exp_sinch(diag_aw * (2.0 ** (-i))) * (sd * 2 ** (-i))
+        np.einsum("ii->i", eaw[1:, :-1] if lower else eaw[:-1, 1:])[:] = exp_sd
+    return eaw
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """The matrix exponential of each (n, n) slice of a real (..., n, n)
     array, computed in float64 bit for bit as ``scipy.linalg.expm`` does.
 
-    Diagonal slices (every slice when n = 1) exponentiate their diagonal;
-    the others run the Padé kernels on one reused scratch array, then
-    square: generic slices s times, triangular ones by Code Fragment 2.1.
+    The slices are classified in one pass: a boolean matmul of the stack's
+    nonzero flags with cached strict-triangle flags.  Diagonal slices (every
+    slice when n = 1) exponentiate their diagonal; the others are copied at
+    once into one Padé scratch, which the kernels work on in place (see
+    :func:`_pade_squared`).
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
     stack = a.reshape(math.prod(a.shape[:-2]), n, n)
-    lower = np.tril(stack, -1).any(axis=(-2, -1))
-    upper = np.triu(stack, 1).any(axis=(-2, -1))
-    diagonal = ~(lower | upper)
+    nonzero = (stack.reshape(len(stack), n * n) != 0) @ _off_diagonal(n)  # (K, 2): below, above
+    off_diagonal = nonzero.any(axis=1)
     out = np.zeros(stack.shape)
-    np.einsum("kii->ki", out)[diagonal] = np.exp(np.diagonal(stack[diagonal], axis1=-2, axis2=-1))
-    am = np.empty((5, n, n))
-    for k in np.flatnonzero(~diagonal):
-        out[k] = _pade_square(stack[k], am, lower[k], upper[k])
+    diagonal = ~off_diagonal
+    if diagonal.any():
+        np.einsum("kii->ki", out)[diagonal] = np.exp(np.diagonal(stack[diagonal], axis1=-2, axis2=-1))
+    if off_diagonal.any():
+        out[off_diagonal] = _pade_squared(stack[off_diagonal], nonzero[off_diagonal])
     return out.reshape(a.shape)

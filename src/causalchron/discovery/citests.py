@@ -133,10 +133,9 @@ def fisher_exact(t: ContingencyTable) -> float:
     # this, and importing scipy.stats costs every process about 0.7 s
     from scipy import stats
 
-    rv = stats.hypergeom(n, row1, col1)
-    support = np.arange(max(0, row1 + col1 - n), min(row1, col1) + 1)
-    pmf = rv.pmf(support)
-    included = pmf <= rv.pmf(t.n11) * (1.0 + 1e-7)
+    lo = max(0, row1 + col1 - n)
+    pmf = stats.hypergeom.pmf(np.arange(lo, min(row1, col1) + 1), n, row1, col1)
+    included = pmf <= pmf[t.n11 - lo] * (1.0 + 1e-7)
     if included.all():
         return 1.0
     return float(min(1.0, pmf[included].sum()))

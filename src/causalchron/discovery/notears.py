@@ -8,11 +8,15 @@ rho grows tenfold whenever h fails to shrink by a factor of four.  The
 data matrix only enters through its Gram matrix, so inner iterations cost
 O(d^3) regardless of sample size.
 
-The augmented Lagrangian and the L-BFGS-B loop are generators that yield
-the points they need evaluated.  :func:`notears_learn` runs one problem to
-the end; :func:`notears_lockstep` advances many problems (the cells of a
-stability-selection grid) together and evaluates the objectives of all of
-them in one stacked call per round.  Both take the same path per problem.
+A fit is one generator: the augmented Lagrangian runs each inner L-BFGS-B
+solve with ``yield from``, so the fit yields every point it needs evaluated
+as ``(x, rho, alpha)`` and takes the objective's ``(f, g, h)`` back.  The h
+of the point a solve ends at is the one the objective already computed
+there, so the outer loop recomputes h only for a solve that ends elsewhere.
+:func:`notears_learn` answers one fit's points one at a time;
+:func:`notears_lockstep` advances many fits (the cells of a
+stability-selection grid) together and answers all their points in one
+stacked objective call per round.  Both take the same path per problem.
 
 The L-BFGS-B step ``setulb`` and ``expm`` come from
 :mod:`causalchron._scipy_kernels`, which loads only those compiled scipy
@@ -27,8 +31,8 @@ answer.  A ``standardize`` flag exposes the alternative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -118,14 +122,24 @@ def _unpack(vec: np.ndarray, d: int) -> np.ndarray:
     return (vec[: d * d] - vec[d * d :]).reshape(d, d)
 
 
-def _objective(gram, lambda1, vec, rho, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """The augmented-Lagrangian objective and its gradient in [W+, W-].
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    """The (d, d) identity, built once per d and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+def _objective(gram, lambda1, vec, rho, alpha):
+    """The augmented-Lagrangian objective, its gradient in [W+, W-] and h(W).
 
     One problem takes ``gram`` (d, d), ``vec`` (2 d^2,) and scalar
     ``lambda1``, ``rho``, ``alpha``; a stack of K problems takes (K, d, d),
     (K, 2 d^2) and (K,) arrays, and costs one matmul chain and one ``expm``
-    call.  Every slice of a stack returns the floats of its own one-problem
-    call, and those are bit-identical to the textbook form kept in
+    call.  Returns ``(f, g, h)``; h is :func:`acyclicity_h` of the point's
+    W, so a solve that ends at its last evaluated point has its h already.
+    Every slice of a stack returns the floats of its own one-problem call,
+    and those are bit-identical to the textbook form kept in
     tests/test_notears.py, so L-BFGS-B takes the same path either way:
     negation is exact and IEEE addition commutes, hence
     lambda1 - g == -g + lambda1.
@@ -138,25 +152,28 @@ def _objective(gram, lambda1, vec, rho, alpha) -> tuple[np.ndarray, np.ndarray]:
     stack = vec.shape[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
         w = (vec[..., : d * d] - vec[..., d * d :]).reshape(*stack, d, d)
-        delta = w - np.eye(d)
+        delta = w - _eye(d)
         loss = 0.5 * (delta.swapaxes(-1, -2) @ gram @ delta).trace(axis1=-2, axis2=-1)
         h, g_smooth = acyclicity_h(w)
-        g_smooth *= np.asarray(rho * h + alpha)[..., None, None]
+        scale, lam = rho * h + alpha, lambda1
+        if stack:
+            scale, lam = scale[..., None, None], lam[..., None, None]
+        g_smooth *= scale
         g_smooth += gram @ delta
         value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * vec.sum(axis=-1)
-        lam = np.asarray(lambda1)[..., None, None]
         grad = np.empty(vec.shape)
         halves = grad.reshape(*stack, 2, d, d)
         np.add(g_smooth, lam, out=halves[..., 0, :, :])
         np.subtract(lam, g_smooth, out=halves[..., 1, :, :])
-    return value, grad
+    return value, grad, h
 
 
 def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
     """L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) through scipy's ``setulb`` kernel,
     as a generator: it yields each point to evaluate as ``(x, *args)``, takes
-    the objective's ``(f, g)`` back, and returns x, f, nfev, nit and status
-    (0 converged, 1 iteration or evaluation cap, 2 abnormal line search).
+    the objective's ``(f, g, h)`` back, and returns x, f, nfev, nit, status
+    (0 converged, 1 iteration or evaluation cap, 2 abnormal line search) and
+    the h of x when x is the last point it evaluated (else None).
 
     Runs the reverse-communication loop of ``scipy.optimize.minimize(...,
     method="L-BFGS-B", jac=True)`` at its defaults, so ``setulb`` sees the same
@@ -164,33 +181,39 @@ def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
     per-call bound standardisation and per-evaluation wrapper checks are gone.
     ``lower``/``upper`` are the bounds (inf where there is none) and ``nbd``
     their ``setulb`` codes (1 lower only, 2 both; ``setulb`` reads an upper
-    bound only where it is 2).  A repeated x reuses the last pair unasked.
+    bound only where it is 2).  ``setulb`` only reads g, so it gets the
+    objective's array itself.  A repeated x reuses the last answer unasked:
+    x is compared with the last evaluated point by value, as
+    ``(x == seen).all()`` does (-0.0 equals 0.0, NaN equals nothing), through
+    memoryviews.  The yielded point is one array updated in place, so a
+    caller must read it before it answers.
     """
     m, maxls, pgtol, maxfun, n = 10, 20, 1e-5, 15000, x0.size
     x = np.clip(x0, lower, upper)
     seen = x.copy()
-    f_seen, g_seen = yield (seen, *args)
+    request = (seen, *args)
+    f_seen, g_seen, h_seen = yield request
     nfev, nit = 1, 0
     f, g = 0.0, np.zeros(n)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, dtype=np.int32)
     task = np.zeros(2, dtype=np.int32)
+    code = memoryview(task)  # reads task[0] as a Python int
     ln_task = np.zeros(2, dtype=np.int32)
     lsave = np.zeros(4, dtype=np.int32)
     isave = np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
     while True:
-        g = np.array(g, dtype=np.float64)
         setulb(
             m, x, lower, upper, nbd, f, g, _FACTR, pgtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task
         )
-        if task[0] == 3:  # evaluate f and g at x
-            if not (x == seen).all():  # np.array_equal for two arrays of one shape
-                seen = x.copy()
-                f_seen, g_seen = yield (seen, *args)
+        if code[0] == 3:  # evaluate f and g at x
+            if x.data != seen.data:
+                seen[:] = x
+                f_seen, g_seen, h_seen = yield request
                 nfev += 1
             f, g = f_seen, g_seen
-        elif task[0] == 1:  # a new iterate
+        elif code[0] == 1:  # a new iterate
             nit += 1
             if nit >= maxiter:
                 task[:] = 5, 504
@@ -199,7 +222,7 @@ def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
         else:
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
-    return x, f, nfev, nit, status
+    return x, f, nfev, nit, status, h_seen if x.data == seen.data else None
 
 
 def _run(steps, answer):
@@ -213,21 +236,18 @@ def _run(steps, answer):
         return done.value
 
 
-def _lbfgsb(fun, x0, args, lower, upper, nbd, maxiter):
-    """L-BFGS-B on ``fun(x, *args) -> (f, g)`` from ``x0``, run to the end
-    (see :func:`_lbfgsb_steps`); returns x, f, nfev, nit and status."""
-    return _run(_lbfgsb_steps(x0, args, lower, upper, nbd, maxiter), fun)
-
-
 def _augmented_lagrangian(d):
     """The outer loop of Zheng et al. (NeurIPS 2018), as a generator.
 
-    Yields each inner problem as the arguments of :func:`_lbfgsb_steps`,
-    ``(x0, (rho, alpha), lower, upper, nbd, LBFGS_MAXITER)``, takes the
-    solve's result back and returns the final [W+, W-].  The dual variable
-    is updated as alpha += rho * h, and rho grows tenfold whenever h fails
-    to shrink by ``PROGRESS_RATE``.  Raises :class:`NotearsConvergenceError`
-    when the penalty cap is reached first or a solve ends non-finite.
+    Solves each inner problem with :func:`_lbfgsb_steps` (``yield from``),
+    so it yields the points the solves need evaluated as ``(x, rho,
+    alpha)``, takes the objective's ``(f, g, h)`` back and returns the
+    final [W+, W-].  A solve's h is the objective's at its last evaluated
+    point; only a solve that ends elsewhere computes it anew.  The dual
+    variable is updated as alpha += rho * h, and rho grows tenfold whenever h
+    fails to shrink by ``PROGRESS_RATE``.  Raises
+    :class:`NotearsConvergenceError` when the penalty cap is reached first
+    or a solve ends non-finite.
     """
     # W+ and W- are non-negative, and their diagonals are pinned to 0
     pinned = np.tile(np.eye(d, dtype=bool).ravel(), 2)
@@ -238,8 +258,11 @@ def _augmented_lagrangian(d):
     rho, alpha, h_val = 1.0, 0.0, np.inf
     for _ in range(MAX_OUTER):
         while True:
-            x, f, *_ = yield vec, (rho, alpha), lower, upper, nbd, LBFGS_MAXITER
-            h_new = acyclicity_h(_unpack(x, d))[0] if np.isfinite(f) else np.nan
+            x, f, _, _, _, h_new = yield from _lbfgsb_steps(vec, (rho, alpha), lower, upper, nbd, LBFGS_MAXITER)
+            if not np.isfinite(f):
+                h_new = np.nan
+            elif h_new is None:
+                h_new = acyclicity_h(_unpack(x, d))[0]
             # every test below is False for NaN, so a non-finite solve stops here
             if not np.isfinite(h_new):
                 raise NotearsConvergenceError(h_new, rho)
@@ -255,18 +278,6 @@ def _augmented_lagrangian(d):
     if not h_val <= H_TOL:
         raise NotearsConvergenceError(h_val, rho)
     return vec
-
-
-def _resumable(problems):
-    """A fit as one stream of evaluation requests ``(x, rho, alpha)``: each
-    inner problem of the augmented Lagrangian ``problems`` is solved by the
-    resumable L-BFGS-B.  Returns what ``problems`` returns."""
-    try:
-        problem = next(problems)
-        while True:
-            problem = problems.send((yield from _lbfgsb_steps(*problem)))
-    except StopIteration as done:
-        return done.value
 
 
 def gram_matrix(values: np.ndarray, standardize: bool) -> np.ndarray:
@@ -317,7 +328,8 @@ def notears_learn(
 ) -> tuple[WeightedAdjacency, Dag]:
     """Fit the weighted adjacency and threshold it into a DAG.
 
-    Each inner problem is solved to the end by :func:`_lbfgsb`.  Raises
+    The objective answers each point the augmented Lagrangian asks for, one
+    at a time (:func:`_run`).  Raises
     :class:`NotearsConvergenceError` (carrying the final h) when the penalty
     cap is reached first or an inner solve ends non-finite; converged runs
     always satisfy h <= H_TOL.
@@ -326,9 +338,7 @@ def notears_learn(
     if not data.is_complete:
         raise ValueError("notears requires complete data")
     gram = gram_matrix(data.values, standardize)
-    objective = partial(_objective, gram, lambda1)
-    problems = _augmented_lagrangian(data.n_cols)
-    vec = _run(problems, lambda *problem: _lbfgsb(objective, *problem))
+    vec = _run(_augmented_lagrangian(data.n_cols), functools.partial(_objective, gram, lambda1))
     return _adjacency(data.columns, vec, omega)
 
 
@@ -339,33 +349,29 @@ def notears_lockstep(
     (``grams`` (K, d, d), from :func:`gram_matrix`) and ``lambdas`` entry;
     None marks a cell whose fit failed.
 
-    Each cell is a resumable augmented Lagrangian with its own L-BFGS-B work
-    arrays, unchanged-x memo and rho/alpha schedule.  Every round evaluates
-    all waiting cells in one stacked objective call and resumes each with its
-    slice, so each cell takes the path, and ends at the W, of its own
-    :func:`notears_learn` fit bit for bit.  A failed cell leaves the round;
-    the others go on.
+    Each cell is an augmented-Lagrangian generator with its own L-BFGS-B
+    work arrays, unchanged-x memo and rho/alpha schedule.  Every round
+    evaluates all waiting cells in one stacked objective call and resumes
+    each with its slice of ``(f, g, h)``, so each cell takes the path, and
+    ends at the W, of its own :func:`notears_learn` fit bit for bit.  A
+    failed cell leaves the round; the others go on.
     """
     d = len(labels)
-    cells = [_resumable(_augmented_lagrangian(d)) for _ in lambdas]
-    fits: list[tuple[WeightedAdjacency, Dag] | None] = [None] * len(cells)
-    waiting: dict[int, tuple] = {}  # cell -> the (x, rho, alpha) it waits on
-
-    def resume(k: int, answer) -> None:
-        try:
-            waiting[k] = cells[k].send(answer)
-        except StopIteration as done:
-            fits[k] = _adjacency(labels, done.value, omega)
-        except NotearsConvergenceError:
-            pass
-
-    for k in range(len(cells)):
-        resume(k, None)
+    fits: list[tuple[WeightedAdjacency, Dag] | None] = [None] * len(lambdas)
+    waiting = [(k, _augmented_lagrangian(d), None) for k in range(len(lambdas))]
+    answers = [None] * len(waiting)  # a new cell is started by sending None
     while waiting:
-        ks = list(waiting)
-        x, rho, alpha = map(np.array, zip(*waiting.values()))
-        waiting.clear()
-        f, g = _objective(grams[ks], lambdas[ks], x, rho, alpha)
-        for i, k in enumerate(ks):
-            resume(k, (f[i], g[i]))
+        cells, waiting = waiting, []  # (cell index, cell, the (x, rho, alpha) it waits on)
+        for (k, cell, _), answer in zip(cells, answers):
+            try:
+                waiting.append((k, cell, cell.send(answer)))
+            except StopIteration as done:
+                fits[k] = _adjacency(labels, done.value, omega)
+            except NotearsConvergenceError:
+                pass
+        if waiting:
+            ks = [k for k, _, _ in waiting]
+            x, rho, alpha = map(np.array, zip(*(request for _, _, request in waiting)))
+            f, g, h = _objective(grams[ks], lambdas[ks], x, rho, alpha)
+            answers = zip(f.tolist(), g, h.tolist())
     return fits

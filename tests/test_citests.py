@@ -219,6 +219,19 @@ class TestFisherExact:
             _, theirs = scipy.stats.fisher_exact([[t.n00, t.n01], [t.n10, t.n11]], alternative="two-sided")
             assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(st.integers(0, 60), min_size=4, max_size=4).filter(any))
+    def test_same_bits_as_the_frozen_distribution(self, cells):
+        """One unfrozen pmf over the support, read at the observed table,
+        gives the p-value of the frozen ``hypergeom(n, row1, col1)`` form."""
+        t = ContingencyTable("a", "b", *cells)
+        n, row1, col1 = t.total, t.n10 + t.n11, t.n01 + t.n11
+        rv = scipy.stats.hypergeom(n, row1, col1)
+        pmf = rv.pmf(np.arange(max(0, row1 + col1 - n), min(row1, col1) + 1))
+        included = pmf <= rv.pmf(t.n11) * (1.0 + 1e-7)
+        frozen = 1.0 if included.all() else float(min(1.0, pmf[included].sum()))
+        assert fisher_exact(t).hex() == frozen.hex()
+
     def test_package_import_leaves_scipy_stats_unloaded(self):
         # fisher_exact imports scipy.stats itself, and the G² test and NOTEARS
         # load only the compiled kernels they call, so start-up pays for none

@@ -1,4 +1,4 @@
-"""Golden outputs: two small scenario runs checked against stored fingerprints.
+"""Golden outputs: three small scenario runs checked against stored fingerprints.
 
 A fingerprint (``perfbench/compare_runs.py``) is the SHA-256 of every
 discrete output of a run directory plus the list of its floats in file
@@ -8,7 +8,8 @@ moves an edge, a verdict or a float past the last few ulps fails here.
 
 The stored fingerprints live in ``tests/golden/``.  After a change that
 is meant to move outputs, rebuild them with
-``PYTHONPATH=src python tests/test_golden.py`` and declare the change.
+``PYTHONPATH=src python tests/test_golden.py [PRESET ...]`` and declare
+the change.
 """
 
 from __future__ import annotations
@@ -30,18 +31,32 @@ _spec = importlib.util.spec_from_file_location("compare_runs", ROOT / "perfbench
 compare_runs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_runs)
 
-#: preset -> rows; both run hc, pc and lingam with the round-robin fill and every refutation
-SCENARIOS = {"ndhd-like": 1500, "ndhb-like": 600}
+#: preset -> (rows, the config keys that differ between scenarios); every
+#: scenario runs the round-robin fill and every refutation.  The two site
+#: presets run hc, pc and lingam; chain-5 runs one NOTEARS fit and a small
+#: stability-selection grid (4 lambdas x 2 resamples)
+SCENARIOS = {
+    "ndhd-like": (1500, {"algorithms": ("hc", "pc", "lingam")}),
+    "ndhb-like": (600, {"algorithms": ("hc", "pc", "lingam")}),
+    "chain-5": (
+        400,
+        {
+            "algorithms": ("notears", "notears-stability"),
+            "learner_params": {"notears-stability": {"lambda_grid": (0.01, 0.03, 0.1, 0.3), "n_resamples": 2}},
+        },
+    ),
+}
 
 
 def run_fingerprint(preset: str, out: Path) -> dict:
+    rows, config = SCENARIOS[preset]
     cfg = PipelineConfig(
-        scenario=ScenarioSpec(preset=preset, n_rows=SCENARIOS[preset], seed=3),
-        algorithms=("hc", "pc", "lingam"),
+        scenario=ScenarioSpec(preset=preset, n_rows=rows, seed=3),
         impute_method="round_robin",
         refutations="all",
         seed=5,
         output_dir=str(out),
+        **config,
     )
     run_pipeline(cfg)
     return compare_runs.fingerprint(out)
@@ -60,7 +75,7 @@ def test_run_matches_stored_fingerprint(preset, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in SCENARIOS:
+    for name in sys.argv[1:] or SCENARIOS:
         with tempfile.TemporaryDirectory() as tmp:
             doc = run_fingerprint(name, Path(tmp) / "run")
         (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -267,7 +267,8 @@ class TestNotearsLearn:
 
 
 def textbook_objective(data, lambda1):
-    """The NOTEARS objective as first written: fresh arrays on every call."""
+    """The NOTEARS objective as first written: fresh arrays on every call.
+    Returns f, g and h, as the production objective does."""
     x = data.values.astype(np.float64)
     x = x - x.mean(axis=0)
     n, d = x.shape
@@ -284,9 +285,21 @@ def textbook_objective(data, lambda1):
         g_smooth = g_loss + (rho * h + alpha) * g_h
         value = smooth + lambda1 * float(vec.sum())
         grad = np.concatenate([(g_smooth + lambda1).ravel(), (-g_smooth + lambda1).ravel()])
-        return value, grad
+        return value, grad, h
 
     return objective
+
+
+def counted_steps(record):
+    """``_lbfgsb_steps`` that calls ``record(nfev)`` at the end of each inner solve."""
+    steps = notears._lbfgsb_steps
+
+    def counted(*problem):
+        result = yield from steps(*problem)
+        record(result[2])
+        return result
+
+    return counted
 
 
 class TestObjectiveBitIdentity:
@@ -296,16 +309,12 @@ class TestObjectiveBitIdentity:
     @staticmethod
     def fit(data, lambda1, objective=None):
         """notears_learn's W bytes and DAG (or its failure) and each inner solve's
-        ``nfev``; ``objective`` replaces the one notears_learn passes to L-BFGS-B."""
+        ``nfev``; ``objective(vec, rho, alpha)`` replaces the production one."""
         nfevs = []
-        driver = notears._lbfgsb
-
-        def counted(fun, x0, args, *bounds_and_cap):
-            res = driver(objective or fun, x0, args, *bounds_and_cap)
-            nfevs.append(res[2])
-            return res
-
-        with mock.patch.object(notears, "_lbfgsb", counted):
+        replaced = notears._objective if objective is None else lambda gram, lam, vec, rho, alpha: objective(vec, rho, alpha)
+        with mock.patch.object(notears, "_lbfgsb_steps", counted_steps(nfevs.append)), mock.patch.object(
+            notears, "_objective", replaced
+        ):
             try:
                 adj, dag = notears_learn(data, lambda1=lambda1)
             except NotearsConvergenceError as err:
@@ -327,7 +336,8 @@ class TestObjectiveBitIdentity:
 class TestLbfgsbDriver:
     """The L-BFGS-B driver must walk the path of ``scipy.optimize.minimize``
     bit for bit on every inner solve of a fit; this breaks first if a scipy
-    release changes the ``setulb`` kernel or the loop around it."""
+    release changes the ``setulb`` kernel or the loop around it.  The h a
+    solve returns must be the h of its final x."""
 
     @staticmethod
     def inner_statuses(data, lambda1, maxiter):
@@ -335,11 +345,20 @@ class TestLbfgsbDriver:
         d = data.n_cols
         is_diag = np.eye(d, dtype=bool).ravel()
         bounds = [(0.0, 0.0) if flag else (0.0, None) for flag in np.tile(is_diag, 2)]
-        driver = notears._lbfgsb
+        gram = notears.gram_matrix(data.values, False)
+        steps = notears._lbfgsb_steps
         statuses = []
 
-        def compared(fun, x0, args, *bounds_and_cap):
-            x, f, nfev, nit, status = driver(fun, x0, args, *bounds_and_cap)
+        def fun(x, rho, alpha):
+            return notears._objective(gram, lambda1, x, rho, alpha)[:2]
+
+        def compared(x0, args, *bounds_and_cap):
+            result = yield from steps(x0, args, *bounds_and_cap)
+            x, f, nfev, nit, status, h = result
+            if h is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    h_ref = acyclicity_h(notears._unpack(x, d))[0]
+                assert np.float64(h).tobytes() == np.float64(h_ref).tobytes()
             res = scipy.optimize.minimize(
                 fun,
                 x0,
@@ -353,9 +372,11 @@ class TestLbfgsbDriver:
             assert np.float64(f).tobytes() == np.float64(res.fun).tobytes()
             assert (nfev, nit, status) == (res.nfev, res.nit, res.status)
             statuses.append(status)
-            return x, f, nfev, nit, status
+            return result
 
-        with mock.patch.object(notears, "_lbfgsb", compared), mock.patch.object(notears, "LBFGS_MAXITER", maxiter):
+        with mock.patch.object(notears, "_lbfgsb_steps", compared), mock.patch.object(
+            notears, "LBFGS_MAXITER", maxiter
+        ):
             try:
                 notears_learn(data, lambda1=lambda1)
             except NotearsConvergenceError:
@@ -379,24 +400,20 @@ class TestLbfgsbDriver:
         assert 1 in self.inner_statuses(data, 0.02, maxiter=2)
 
 
-def nan_solve(fun, x0, *rest):
-    """An inner solve that ends at a NaN objective."""
-    return x0, np.nan, 1, 0, 2
-
-
 def nan_steps(x0, *rest):
-    """The stepwise form of ``nan_solve``, as stability selection runs its
-    inner solves: it ends at a NaN objective without asking for a point."""
+    """An inner solve that ends at a NaN objective without asking for a point."""
     yield from ()
-    return x0, np.nan, 1, 0, 2
+    return x0, np.nan, 1, 0, 2, np.nan
 
 
-def overflow_solve(fun, x0, *rest):
-    """An inner solve that ends at W[0, 1] = W[1, 0] = 30 (d = 3), where
-    exp(W o W) overflows, so h is not finite."""
+def overflow_steps(x0, *rest):
+    """An inner solve that ends, away from its last evaluated point, at
+    W[0, 1] = W[1, 0] = 30 (d = 3), where exp(W o W) overflows, so h is not
+    finite."""
+    yield from ()
     x = np.zeros_like(x0)
     x[[1, 3]] = 30.0
-    return x, 0.0, 1, 1, 0
+    return x, 0.0, 1, 1, 0, None
 
 
 class TestNonFiniteSolve:
@@ -405,7 +422,7 @@ class TestNonFiniteSolve:
 
     def test_nonfinite_objective_fails_the_fit(self):
         data = sample(preset_network("chain-3"), 200, seed=0)
-        with mock.patch.object(notears, "_lbfgsb", side_effect=nan_solve) as solve:
+        with mock.patch.object(notears, "_lbfgsb_steps", side_effect=nan_steps) as solve:
             with pytest.raises(NotearsConvergenceError) as err:
                 notears_learn(data)
         assert math.isnan(err.value.h_final)
@@ -413,7 +430,7 @@ class TestNonFiniteSolve:
 
     def test_nonfinite_h_fails_the_fit(self):
         data = sample(preset_network("chain-3"), 200, seed=0)
-        with mock.patch.object(notears, "_lbfgsb", side_effect=overflow_solve) as solve:
+        with mock.patch.object(notears, "_lbfgsb_steps", side_effect=overflow_steps) as solve:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NotearsConvergenceError) as err:
                     notears_learn(data)
@@ -428,8 +445,8 @@ class TestNonFiniteSolve:
         vec[[1, 3]] = 30.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, _ = notears._objective(gram, 0.1, vec, 1.0, 0.0)
-            stacked, _ = notears._objective(
+            f, _, _ = notears._objective(gram, 0.1, vec, 1.0, 0.0)
+            stacked, _, _ = notears._objective(
                 np.stack([gram, gram]), np.array([0.1, 0.1]), np.stack([vec, 0 * vec]), np.ones(2), np.zeros(2)
             )
         assert not np.isfinite(f)
@@ -576,11 +593,35 @@ class TestLockstep:
         vecs = rng.uniform(0, 0.8, size=(k, 2 * d * d)) * (rng.random((k, 2 * d * d)) < 0.4)
         vecs[:, np.tile(np.eye(d, dtype=bool).ravel(), 2)] = 0.0
         grams = np.array([notears.gram_matrix(m.values, False) for m in data])
-        f, g = notears._objective(grams, lambdas, vecs, rhos, alphas)
+        f, g, h = notears._objective(grams, lambdas, vecs, rhos, alphas)
         for i in range(k):
-            f_ref, g_ref = textbook_objective(data[i], lambdas[i])(vecs[i], rhos[i], alphas[i])
+            f_ref, g_ref, h_ref = textbook_objective(data[i], lambdas[i])(vecs[i], rhos[i], alphas[i])
             assert np.float64(f[i]).tobytes() == np.float64(f_ref).tobytes()
             assert g[i].tobytes() == g_ref.tobytes()
+            assert np.float64(h[i]).tobytes() == np.float64(h_ref).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 7),
+        k=st.integers(1, 6),
+        scale=st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+        density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    )
+    def test_objective_h_is_acyclicity_h_of_every_slice(self, seed, d, k, scale, density):
+        """The h a solve takes from the objective instead of calling
+        acyclicity_h: equal by bytes, stacked or not, for sparse, dense and
+        triangular W."""
+        rng = np.random.default_rng(seed)
+        vecs = rng.uniform(0, scale, size=(k, 2 * d * d)) * (rng.random((k, 2 * d * d)) < density)
+        vecs[:, np.tile(np.eye(d, dtype=bool).ravel(), 2)] = 0.0
+        grams = np.stack([np.eye(d)] * k)
+        lambdas, rhos, alphas = rng.uniform(0, 0.5, size=k), 10.0 ** rng.integers(0, 17, size=k), np.zeros(k)
+        _, _, h = notears._objective(grams, lambdas, vecs, rhos, alphas)
+        for i in range(k):
+            h_ref = acyclicity_h(notears._unpack(vecs[i], d))[0]
+            _, _, h_one = notears._objective(grams[i], lambdas[i], vecs[i], rhos[i], alphas[i])
+            assert np.float64(h[i]).tobytes() == np.float64(h_ref).tobytes() == np.float64(h_one).tobytes()
 
     @staticmethod
     def subsamples(data, lambda_grid, n_resamples, seed, subsample_frac=0.8):
@@ -612,12 +653,6 @@ class TestLockstep:
             return run
 
         keys, per_solve = [], []  # each cell's problem key and per-solve nfevs, in cell order
-        driver = notears._lbfgsb
-
-        def counted(fun, x0, args, *rest):
-            res = driver(fun, x0, args, *rest)
-            per_solve[-1].append(res[2])
-            return res
 
         def per_cell(labels, grams, lambdas, omega):
             out = []
@@ -635,7 +670,7 @@ class TestLockstep:
         report = stability_select(data, **kwargs)
         evaluations = dict(log)
         log.clear()
-        monkeypatch.setattr(notears, "_lbfgsb", counted)
+        monkeypatch.setattr(notears, "_lbfgsb_steps", counted_steps(lambda nfev: per_solve[-1].append(nfev)))
         monkeypatch.setattr(stability, "notears_lockstep", captured("per cell", per_cell))
         reference = stability_select(data, **kwargs)
 
