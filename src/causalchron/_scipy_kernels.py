@@ -27,7 +27,12 @@ again and binds the very function objects returned here.
 those kernels, so every slice keeps its bits (tests/test_notears.py checks
 that against the installed scipy).  It classifies all slices of a stack in
 one pass instead of calling scipy's per-slice ``bandwidth`` wrapper, and
-runs the Padé kernels in place on the slices of one stacked scratch.
+runs the Padé kernels in place on the slices of one stacked scratch.  A
+stack whose every slice is general, with entries both below and above the
+diagonal, is the usual NOTEARS case once W leaves 0; it skips the masked
+copies, the zeroed output and the triangle zeroing that diagonal and
+triangular slices need, and returns a view of the scratch.  Every call
+allocates its own scratch, so no result aliases another's.
 """
 
 from __future__ import annotations
@@ -104,7 +109,8 @@ def _pade_squared(slices: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
     and above it.  The body of scipy's per-slice loop, on one (G, 5, n, n)
     scratch: the Padé kernels run in place on each slice's (5, n, n) view,
     then each slice scaled by 2**-s with s > 0 squares back (see
-    :func:`_squared`).  Returns a view of the scratch."""
+    :func:`_squared`).  Returns a view of the scratch, left unzeroed outside
+    a triangular slice's triangle."""
     am = np.empty((len(slices), 5, *slices.shape[1:]))
     am[:, 0] = slices
     powers = []
@@ -116,13 +122,10 @@ def _pade_squared(slices: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
             raise RuntimeError(f"the expm Padé kernels failed (error code {info})")
         powers.append(s)
     eaw = am[:, 0]
-    lower, upper = nonzero.T
-    for k in np.flatnonzero(powers):
-        eaw[k] = _squared(slices[k], eaw[k], powers[k], lower[k], upper[k])
-    # zero the part of a triangular slice's result that scipy leaves at zero
-    for keep, zeroed in ((lower & ~upper, np.tril), (upper & ~lower, np.triu)):
-        if keep.any():
-            eaw[keep] = zeroed(eaw[keep])
+    if any(powers):
+        for k, s in enumerate(powers):
+            if s:
+                eaw[k] = _squared(slices[k], eaw[k], s, *nonzero[k])
     return eaw
 
 
@@ -151,20 +154,34 @@ def expm(a: np.ndarray) -> np.ndarray:
     array, computed in float64 bit for bit as ``scipy.linalg.expm`` does.
 
     The slices are classified in one pass: a boolean matmul of the stack's
-    nonzero flags with cached strict-triangle flags.  Diagonal slices (every
-    slice when n = 1) exponentiate their diagonal; the others are copied at
-    once into one Padé scratch, which the kernels work on in place (see
-    :func:`_pade_squared`).
+    nonzero flags with cached strict-triangle flags.  When every slice is
+    general, with entries both below and above the diagonal (NOTEARS's W o W
+    once W leaves 0), the stack goes straight through the Padé kernels and
+    the result is a view of their scratch (see :func:`_pade_squared`).
+    Otherwise diagonal slices (every slice when n = 1) exponentiate their
+    diagonal, and the others are copied at once into one Padé scratch and
+    their results zeroed outside a triangular slice's triangle, as scipy
+    leaves them.  Each call has its own scratch, so no two results share
+    memory.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
     stack = a.reshape(math.prod(a.shape[:-2]), n, n)
     nonzero = (stack.reshape(len(stack), n * n) != 0) @ _off_diagonal(n)  # (K, 2): below, above
+    if nonzero.all():
+        return _pade_squared(stack, nonzero).reshape(a.shape)
     off_diagonal = nonzero.any(axis=1)
     out = np.zeros(stack.shape)
     diagonal = ~off_diagonal
     if diagonal.any():
         np.einsum("kii->ki", out)[diagonal] = np.exp(np.diagonal(stack[diagonal], axis1=-2, axis2=-1))
     if off_diagonal.any():
-        out[off_diagonal] = _pade_squared(stack[off_diagonal], nonzero[off_diagonal])
+        general = nonzero[off_diagonal]
+        eaw = _pade_squared(stack[off_diagonal], general)
+        lower, upper = general.T
+        # zero the part of a triangular slice's result that scipy leaves at zero
+        for keep, zeroed in ((lower & ~upper, np.tril), (upper & ~lower, np.triu)):
+            if keep.any():
+                eaw[keep] = zeroed(eaw[keep])
+        out[off_diagonal] = eaw
     return out.reshape(a.shape)

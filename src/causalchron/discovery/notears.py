@@ -53,7 +53,10 @@ __all__ = [
 
 
 #: the allowed values of the parameters :func:`notears_learn` checks
-PARAM_RANGES = {"lambda1": (lambda v: v >= 0, "non-negative")}
+PARAM_RANGES = {
+    "lambda1": (lambda v: v >= 0, "non-negative"),
+    "omega": (lambda v: v >= 0, "non-negative"),
+}
 
 #: the solver settings of :func:`_augmented_lagrangian`: dual updates, the
 #: acyclicity tolerance, the penalty cap, h's required shrink, inner iterations
@@ -122,6 +125,11 @@ def _unpack(vec: np.ndarray, d: int) -> np.ndarray:
     return (vec[: d * d] - vec[d * d :]).reshape(d, d)
 
 
+#: (2, 1, 1) signs that stack a gradient in W over its halves W+ and W-
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
+_SIGNS.flags.writeable = False
+
+
 @functools.cache
 def _eye(d: int) -> np.ndarray:
     """The (d, d) identity, built once per d and read-only."""
@@ -140,9 +148,10 @@ def _objective(gram, lambda1, vec, rho, alpha):
     W, so a solve that ends at its last evaluated point has its h already.
     Every slice of a stack returns the floats of its own one-problem call,
     and those are bit-identical to the textbook form kept in
-    tests/test_notears.py, so L-BFGS-B takes the same path either way:
-    negation is exact and IEEE addition commutes, hence
-    lambda1 - g == -g + lambda1.
+    tests/test_notears.py, so L-BFGS-B takes the same path either way: the
+    vector's halves W+ and W- are read as one (..., 2, d, d) view, and the
+    gradient's halves are the smooth gradient times +1 and -1 (exact) plus
+    lambda1, the textbook's g + lambda1 and -g + lambda1.
 
     A line-search probe at a large W overflows ``expm``; f then comes back
     non-finite and L-BFGS-B backtracks, so the overflow is expected and
@@ -150,22 +159,21 @@ def _objective(gram, lambda1, vec, rho, alpha):
     """
     d = gram.shape[-1]
     stack = vec.shape[:-1]
+    halves = vec.reshape(*stack, 2, d, d)  # W+, W-
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (vec[..., : d * d] - vec[..., d * d :]).reshape(*stack, d, d)
+        w = halves[..., 0, :, :] - halves[..., 1, :, :]
         delta = w - _eye(d)
         loss = 0.5 * (delta.swapaxes(-1, -2) @ gram @ delta).trace(axis1=-2, axis2=-1)
         h, g_smooth = acyclicity_h(w)
-        scale, lam = rho * h + alpha, lambda1
+        value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * vec.sum(axis=-1)
+        scale = rho * h + alpha
         if stack:
-            scale, lam = scale[..., None, None], lam[..., None, None]
+            scale, lambda1 = scale[..., None, None], lambda1[..., None, None, None]
         g_smooth *= scale
         g_smooth += gram @ delta
-        value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * vec.sum(axis=-1)
-        grad = np.empty(vec.shape)
-        halves = grad.reshape(*stack, 2, d, d)
-        np.add(g_smooth, lam, out=halves[..., 0, :, :])
-        np.subtract(lam, g_smooth, out=halves[..., 1, :, :])
-    return value, grad, h
+        grad = g_smooth[..., None, :, :] * _SIGNS  # g and -g: the gradients in W+ and W-
+        grad += lambda1
+    return value, grad.reshape(vec.shape), h
 
 
 def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
@@ -184,9 +192,9 @@ def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
     bound only where it is 2).  ``setulb`` only reads g, so it gets the
     objective's array itself.  A repeated x reuses the last answer unasked:
     x is compared with the last evaluated point by value, as
-    ``(x == seen).all()`` does (-0.0 equals 0.0, NaN equals nothing), through
-    memoryviews.  The yielded point is one array updated in place, so a
-    caller must read it before it answers.
+    ``(x == seen).all()`` does (-0.0 equals 0.0, NaN equals nothing), and
+    copied, through memoryviews taken once per solve.  The yielded point is
+    one array updated in place, so a caller must read it before it answers.
     """
     m, maxls, pgtol, maxfun, n = 10, 20, 1e-5, 15000, x0.size
     x = np.clip(x0, lower, upper)
@@ -199,6 +207,7 @@ def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
     iwa = np.zeros(3 * n, dtype=np.int32)
     task = np.zeros(2, dtype=np.int32)
     code = memoryview(task)  # reads task[0] as a Python int
+    x_view, seen_view = x.data, seen.data  # setulb moves x in place
     ln_task = np.zeros(2, dtype=np.int32)
     lsave = np.zeros(4, dtype=np.int32)
     isave = np.zeros(44, dtype=np.int32)
@@ -208,8 +217,8 @@ def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
             m, x, lower, upper, nbd, f, g, _FACTR, pgtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task
         )
         if code[0] == 3:  # evaluate f and g at x
-            if x.data != seen.data:
-                seen[:] = x
+            if x_view != seen_view:
+                seen_view[:] = x_view
                 f_seen, g_seen, h_seen = yield request
                 nfev += 1
             f, g = f_seen, g_seen
@@ -222,7 +231,7 @@ def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
         else:
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
-    return x, f, nfev, nit, status, h_seen if x.data == seen.data else None
+    return x, f, nfev, nit, status, h_seen if x_view == seen_view else None
 
 
 def _run(steps, answer):
@@ -334,7 +343,7 @@ def notears_learn(
     cap is reached first or an inner solve ends non-finite; converged runs
     always satisfy h <= H_TOL.
     """
-    check_ranges(PARAM_RANGES, {"lambda1": lambda1})
+    check_ranges(PARAM_RANGES, {"lambda1": lambda1, "omega": omega})
     if not data.is_complete:
         raise ValueError("notears requires complete data")
     gram = gram_matrix(data.values, standardize)
@@ -354,24 +363,31 @@ def notears_lockstep(
     evaluates all waiting cells in one stacked objective call and resumes
     each with its slice of ``(f, g, h)``, so each cell takes the path, and
     ends at the W, of its own :func:`notears_learn` fit bit for bit.  A
-    failed cell leaves the round; the others go on.
+    finished or failed cell leaves the round, and only then are the Gram
+    matrices and lambdas of the others restacked; they go on.
     """
     d = len(labels)
     fits: list[tuple[WeightedAdjacency, Dag] | None] = [None] * len(lambdas)
-    waiting = [(k, _augmented_lagrangian(d), None) for k in range(len(lambdas))]
+    waiting = [(k, _augmented_lagrangian(d)) for k in range(len(lambdas))]
     answers = [None] * len(waiting)  # a new cell is started by sending None
+    gram, lam = grams, lambdas  # the waiting cells' problems
     while waiting:
-        cells, waiting = waiting, []  # (cell index, cell, the (x, rho, alpha) it waits on)
-        for (k, cell, _), answer in zip(cells, answers):
+        cells, waiting, requests = waiting, [], []  # requests: the (x, rho, alpha) each waits on
+        for cell, answer in zip(cells, answers):
+            k, steps = cell
             try:
-                waiting.append((k, cell, cell.send(answer)))
+                requests.append(steps.send(answer))
             except StopIteration as done:
                 fits[k] = _adjacency(labels, done.value, omega)
+                continue
             except NotearsConvergenceError:
-                pass
+                continue
+            waiting.append(cell)
+        if len(waiting) < len(cells):  # a cell left: restack the problems
+            ks = [k for k, _ in waiting]
+            gram, lam = grams[ks], lambdas[ks]
         if waiting:
-            ks = [k for k, _, _ in waiting]
-            x, rho, alpha = map(np.array, zip(*(request for _, _, request in waiting)))
-            f, g, h = _objective(grams[ks], lambdas[ks], x, rho, alpha)
+            x, rho, alpha = map(np.array, zip(*requests))
+            f, g, h = _objective(gram, lam, x, rho, alpha)
             answers = zip(f.tolist(), g, h.tolist())
     return fits

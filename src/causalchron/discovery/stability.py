@@ -24,6 +24,7 @@ from .._coerce import check_ranges
 from .._rng import spawn_seed
 from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
+from .notears import PARAM_RANGES as NOTEARS_RANGES
 from .notears import gram_matrix, notears_lockstep
 from .notears import notears_learn  # noqa: F401  unused here; perfbench/tracer.py patches stability.notears_learn by name
 
@@ -37,6 +38,9 @@ PARAM_RANGES = {
     ),
     "n_resamples": (lambda n: n >= 1, "at least 1"),
     "subsample_frac": (lambda f: 0 < f <= 1, "in (0, 1]"),
+    "freq_threshold": (lambda f: 0 < f <= 1, "in (0, 1]"),
+    "window": (lambda w: w >= 1, "at least 1"),
+    "omega": NOTEARS_RANGES["omega"],
 }
 
 
@@ -93,7 +97,14 @@ def stability_select(
     """
     check_ranges(
         PARAM_RANGES,
-        {"lambda_grid": lambda_grid, "n_resamples": n_resamples, "subsample_frac": subsample_frac},
+        {
+            "lambda_grid": lambda_grid,
+            "n_resamples": n_resamples,
+            "subsample_frac": subsample_frac,
+            "freq_threshold": freq_threshold,
+            "window": window,
+            "omega": omega,
+        },
     )
     grid = tuple(lambda_grid) if lambda_grid is not None else default_lambda_grid()
     if not data.is_complete:

@@ -352,3 +352,19 @@ class TestRegistry:
                 get_learner("pc", **bad)
         with pytest.raises(ValueError, match="'max_indegree' must be int"):
             get_learner("hc", max_indegree=1.5)
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("notears-stability", "window", 0),
+            ("notears-stability", "window", -3),
+            ("notears-stability", "freq_threshold", -1),
+            ("notears-stability", "freq_threshold", 0),
+            ("notears-stability", "freq_threshold", 1.5),
+            ("notears-stability", "omega", -1),
+            ("notears", "omega", -1),
+        ],
+    )
+    def test_out_of_range_parameters_rejected_at_lookup(self, name, key, value):
+        with pytest.raises(ValueError, match=f"learner '{name}' parameter '{key}' must be"):
+            get_learner(name, **{key: value})

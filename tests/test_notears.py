@@ -158,6 +158,32 @@ class TestExpm:
             assert _scaling_power(slices["lower", 1000.0]) >= 5 and _scaling_power(slices["upper", 1000.0]) >= 5
             assert _scaling_power(slices["generic", 1000.0]) >= 5
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_all_general_stack(self, d):
+        """A stack whose every slice has entries below and above the diagonal,
+        as NOTEARS's W o W does once W leaves 0, goes straight through the
+        Padé kernels; through a long squaring and an overflow its bytes stay
+        scipy's, and no result shares memory with another call's."""
+        rng = np.random.default_rng(10 + d)
+        stack = np.stack(
+            [_slice(rng, "generic", d, scale) for scale in (1e-3, 0.1, 1.0, 100.0, 1000.0)]
+            + [(np.abs(_slice(rng, "generic", d, 1.0)) + 1.0) * 800.0]  # exp(800) > DBL_MAX
+        )
+        nonzero = (stack.reshape(len(stack), d * d) != 0) @ _scipy_kernels._off_diagonal(d)
+        assert nonzero.all()
+        assert _scaling_power(stack[-2]) >= 5
+        self.assert_same_bytes(stack)
+        for a in stack:
+            self.assert_same_bytes(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first, one = _scipy_kernels.expm(stack), _scipy_kernels.expm(stack[2])
+            kept = first.tobytes(), one.tobytes()
+            again, twice = _scipy_kernels.expm(stack), _scipy_kernels.expm(stack[2])
+        assert not np.isfinite(first[-1]).all()
+        assert (first.tobytes(), one.tobytes()) == kept == (again.tobytes(), twice.tobytes())
+        results = (first, one, again, twice)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(results, 2))
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -470,12 +496,20 @@ class TestStabilitySelection:
             {"lambda_grid": (-1.0,)},
             {"lambda_grid": (0.5, 0.1)},
             {"n_resamples": 0},
+            {"window": 0},
+            {"window": -3},
+            {"freq_threshold": -1.0},
+            {"freq_threshold": 0.0},
+            {"freq_threshold": 1.5},
+            {"omega": -1.0},
         ):
             (key,) = kwargs
             with pytest.raises(ValueError, match=f"'{key}' must be"):
                 stability_select(data, **kwargs)
-        with pytest.raises(ValueError, match="'lambda1' must be non-negative"):
-            notears_learn(data, lambda1=-1.0)
+        for kwargs in ({"lambda1": -1.0}, {"omega": -1.0}):
+            (key,) = kwargs
+            with pytest.raises(ValueError, match=f"'{key}' must be non-negative"):
+                notears_learn(data, **kwargs)
 
     def test_single_cell_degenerates_to_plain_fit(self):
         data = sample(preset_network("chain-4"), 1500, seed=4)

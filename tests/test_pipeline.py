@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from causalchron.bayesnet import ZeroProbabilityEvidence
+from causalchron.bayesnet import Dag, ZeroProbabilityEvidence, write_dag
 from causalchron.dataset import load_reads, missingness_profile
 from causalchron.pipeline import (
     PipelineConfig,
@@ -280,8 +280,40 @@ class TestRunPipeline:
 #: values of the wrong type or out of range for most keys, and valid for a few
 JUNK = st.sampled_from([None, "x", "some", True, -1, 0, 1.5, -0.5, float("inf"), [], ["hc"], ["ges"], {}, {"a": 1}])
 
+#: a reference model of the valid draws, whose file the test writes to its temporary directory;
+#: its nodes survive every drawn ``exclude``
+REFERENCE = ["ref", "ref.edges"]
+
+#: the stability grids of the valid draws: at most 2 points and 2 resamples, so at most 4 fits
+STABILITY_PARAMS = st.fixed_dictionaries(
+    {
+        "lambda_grid": st.lists(st.sampled_from([0.01, 0.05, 0.2]), min_size=1, max_size=2, unique=True).map(sorted),
+        "n_resamples": st.integers(1, 2),
+    },
+    optional={
+        "window": st.integers(1, 3),
+        "freq_threshold": st.sampled_from([0.5, 1]),
+        "omega": st.sampled_from([0, 0.3]),
+    },
+)
+
 VALID_DOCS = st.fixed_dictionaries(
-    {"algorithms": st.lists(st.sampled_from(["hc", "pc", "lingam"]), max_size=3, unique=True)},
+    {
+        "algorithms": st.lists(
+            st.sampled_from(["hc", "pc", "lingam", "notears", "notears-stability"]), max_size=3, unique=True
+        ),
+        "learner_params": st.fixed_dictionaries({"notears-stability": STABILITY_PARAMS}, optional={
+            "hc": st.fixed_dictionaries({}, optional={
+                "max_indegree": st.sampled_from([None, 0, 1, 2.0]), "restarts": st.integers(0, 2),
+            }),
+            "pc": st.fixed_dictionaries({}, optional={"alpha": st.sampled_from([0.01, 0.05, 1])}),
+            "lingam": st.fixed_dictionaries({}, optional={"threshold": st.sampled_from([0, 0.1, 0.5])}),
+            "notears": st.fixed_dictionaries({}, optional={
+                "lambda1": st.sampled_from([0, 0.05]), "omega": st.sampled_from([0, 0.3]),
+            }),
+        }),
+        "reference_models": st.sampled_from([[], [REFERENCE]]),
+    },
     optional={
         "input_path": st.none(),
         "exclude": st.sampled_from([[], ["x1"], ["x4"]]),
@@ -290,16 +322,8 @@ VALID_DOCS = st.fixed_dictionaries(
         "impute_tol": st.sampled_from([0, 0.01, 0.5]),
         "impute_max_iter": st.sampled_from([1, 2, 3.0]),
         "ess": st.sampled_from([0, 0.5, 1, 2.0]),
-        "learner_params": st.fixed_dictionaries({}, optional={
-            "hc": st.fixed_dictionaries({}, optional={
-                "max_indegree": st.sampled_from([None, 0, 1, 2.0]), "restarts": st.integers(0, 2),
-            }),
-            "pc": st.fixed_dictionaries({}, optional={"alpha": st.sampled_from([0.01, 0.05, 1])}),
-            "lingam": st.fixed_dictionaries({}, optional={"threshold": st.sampled_from([0, 0.1, 0.5])}),
-        }),
         # "all" runs every refutation of every edge through the readers over draws
         "refutations": st.sampled_from(["none", "all"]),
-        "reference_models": st.just([]),
         "falsify_perms": st.sampled_from([0, 1, 3]),
         "seed": st.integers(0, 2**40),
         "jobs": st.integers(1, 2),
@@ -312,15 +336,22 @@ TOP_KEYS = ("input_path", "scenario", "exclude", "impute_method", "impute_learne
 #: and the parameters whose ranges the NOTEARS learners check
 LEARNER_KEYS = (("hc", "max_indegree"), ("hc", "restarts"), ("hc", "max_indegre"), ("pc", "alpha"),
                 ("pc", "lambda1"), ("lingam", "threshold"), ("nottears", "lambda1"), ("notears", "lambda1"),
-                ("notears-stability", "subsample_frac"), ("notears-stability", "lambda_grid"),
-                ("notears-stability", "n_resamples"))
+                ("notears", "omega"), ("notears-stability", "subsample_frac"),
+                ("notears-stability", "lambda_grid"), ("notears-stability", "n_resamples"),
+                ("notears-stability", "freq_threshold"), ("notears-stability", "window"),
+                ("notears-stability", "omega"))
 
 
 @st.composite
 def config_docs(draw):
-    """A valid document with up to two top-level and two learner parameters spoilt."""
+    """A valid document with up to two top-level and two learner parameters spoilt.
+
+    ``learner_params`` stays unspoilt when the document runs stability
+    selection, whose default grid of 800 fits would outlast the test.
+    """
     doc = draw(VALID_DOCS)
-    for key in draw(st.lists(st.sampled_from(TOP_KEYS), max_size=2, unique=True)):
+    top_keys = [k for k in TOP_KEYS if not (k == "learner_params" and "notears-stability" in doc["algorithms"])]
+    for key in draw(st.lists(st.sampled_from(top_keys), max_size=2, unique=True)):
         doc[key] = draw(JUNK)
     for learner, key in draw(st.lists(st.sampled_from(LEARNER_KEYS), max_size=2, unique=True)):
         params = doc.setdefault("learner_params", {})
@@ -337,10 +368,15 @@ class TestConfigDocuments:
 
         What only the input can tell fails its stage by design: a drawn
         ``input_path`` names no file, and an unknown ``exclude`` label fails
-        the exclude stage.  The valid draws leave at least two columns.
+        the exclude stage.  The valid draws leave at least two columns.  A
+        drawn reference model is read from the temporary directory.
         """
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "run"
+            if doc.get("reference_models") == [REFERENCE]:
+                name, file = REFERENCE
+                write_dag(Dag(("x2", "x3"), [("x2", "x3")]), Path(tmp) / file)
+                doc["reference_models"] = [[name, str(Path(tmp) / file)]]
             doc = {
                 "scenario": {"preset": "chain-4", "n_rows": 50, "missing_rate": 0.2, "seed": 3},
                 **doc,
@@ -353,6 +389,10 @@ class TestConfigDocuments:
                 assert not out.exists()
                 return
             event(f"ran with refutations={cfg.refutations}")
+            for learner in {"notears", "notears-stability"} & set(cfg.algorithms):
+                event(f"ran {learner}")
+            if cfg.reference_models:
+                event("ran a reference model")
             try:
                 run_pipeline(cfg)
             except StageFailure as exc:
