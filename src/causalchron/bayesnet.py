@@ -399,9 +399,6 @@ class CiStatement:
     def canonical(self) -> tuple[frozenset[str], frozenset[str]]:
         return frozenset((self.x, self.y)), self.z
 
-    def relabel(self, mapping: Mapping[str, str]) -> "CiStatement":
-        return CiStatement(mapping[self.x], mapping[self.y], frozenset(mapping[v] for v in self.z))
-
 
 # ---------------------------------------------------------------------------
 # graph queries

@@ -13,10 +13,10 @@ solve with ``yield from``, so the fit yields every point it needs evaluated
 as ``(x, rho, alpha)`` and takes the objective's ``(f, g, h)`` back.  The h
 of the point a solve ends at is the one the objective already computed
 there, so the outer loop recomputes h only for a solve that ends elsewhere.
-:func:`notears_learn` answers one fit's points one at a time;
 :func:`notears_lockstep` advances many fits (the cells of a
 stability-selection grid) together and answers all their points in one
-stacked objective call per round.  Both take the same path per problem.
+stacked objective call per round; :func:`notears_learn` is its one-cell
+case.
 
 The L-BFGS-B step ``setulb`` and ``expm`` come from
 :mod:`causalchron._scipy_kernels`, which loads only those compiled scipy
@@ -139,40 +139,36 @@ def _eye(d: int) -> np.ndarray:
 
 
 def _objective(gram, lambda1, vec, rho, alpha):
-    """The augmented-Lagrangian objective, its gradient in [W+, W-] and h(W).
+    """The augmented-Lagrangian objective, its gradient in [W+, W-] and h(W),
+    for a stack of K problems.
 
-    One problem takes ``gram`` (d, d), ``vec`` (2 d^2,) and scalar
-    ``lambda1``, ``rho``, ``alpha``; a stack of K problems takes (K, d, d),
-    (K, 2 d^2) and (K,) arrays, and costs one matmul chain and one ``expm``
-    call.  Returns ``(f, g, h)``; h is :func:`acyclicity_h` of the point's
-    W, so a solve that ends at its last evaluated point has its h already.
-    Every slice of a stack returns the floats of its own one-problem call,
-    and those are bit-identical to the textbook form kept in
-    tests/test_notears.py, so L-BFGS-B takes the same path either way: the
-    vector's halves W+ and W- are read as one (..., 2, d, d) view, and the
-    gradient's halves are the smooth gradient times +1 and -1 (exact) plus
-    lambda1, the textbook's g + lambda1 and -g + lambda1.
+    Takes ``gram`` (K, d, d), ``vec`` (K, 2 d^2) and ``lambda1``, ``rho``,
+    ``alpha`` (K,), and costs one matmul chain and one ``expm`` call.
+    Returns ``(f, g, h)``; h is :func:`acyclicity_h` of the point's W, so a
+    solve that ends at its last evaluated point has its h already.  Every
+    slice returns the floats of the textbook form kept in
+    tests/test_notears.py bit for bit, whatever the stack around it, so
+    L-BFGS-B takes the same path in any stack: the vector's halves W+ and
+    W- are read as one (K, 2, d, d) view, and the gradient's halves are the
+    smooth gradient times +1 and -1 (exact) plus lambda1, the textbook's
+    g + lambda1 and -g + lambda1.
 
     A line-search probe at a large W overflows ``expm``; f then comes back
     non-finite and L-BFGS-B backtracks, so the overflow is expected and
     its floating-point warnings are silenced here.
     """
     d = gram.shape[-1]
-    stack = vec.shape[:-1]
-    halves = vec.reshape(*stack, 2, d, d)  # W+, W-
+    halves = vec.reshape(len(vec), 2, d, d)  # W+, W-
     with np.errstate(over="ignore", invalid="ignore"):
-        w = halves[..., 0, :, :] - halves[..., 1, :, :]
+        w = halves[:, 0] - halves[:, 1]
         delta = w - _eye(d)
         loss = 0.5 * (delta.swapaxes(-1, -2) @ gram @ delta).trace(axis1=-2, axis2=-1)
         h, g_smooth = acyclicity_h(w)
         value = loss + 0.5 * rho * h * h + alpha * h + lambda1 * vec.sum(axis=-1)
-        scale = rho * h + alpha
-        if stack:
-            scale, lambda1 = scale[..., None, None], lambda1[..., None, None, None]
-        g_smooth *= scale
+        g_smooth *= (rho * h + alpha)[:, None, None]
         g_smooth += gram @ delta
-        grad = g_smooth[..., None, :, :] * _SIGNS  # g and -g: the gradients in W+ and W-
-        grad += lambda1
+        grad = g_smooth[:, None] * _SIGNS  # g and -g: the gradients in W+ and W-
+        grad += lambda1[:, None, None, None]
     return value, grad.reshape(vec.shape), h
 
 
@@ -232,17 +228,6 @@ def _lbfgsb_steps(x0, args, lower, upper, nbd, maxiter):
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
     return x, f, nfev, nit, status, h_seen if x_view == seen_view else None
-
-
-def _run(steps, answer):
-    """Run a generator to its return value, sending ``answer(*request)`` back
-    for every request it yields."""
-    try:
-        request = next(steps)
-        while True:
-            request = steps.send(answer(*request))
-    except StopIteration as done:
-        return done.value
 
 
 def _augmented_lagrangian(d):
@@ -337,8 +322,7 @@ def notears_learn(
 ) -> tuple[WeightedAdjacency, Dag]:
     """Fit the weighted adjacency and threshold it into a DAG.
 
-    The objective answers each point the augmented Lagrangian asks for, one
-    at a time (:func:`_run`).  Raises
+    The fit is the one cell of a :func:`notears_lockstep` run.  Raises
     :class:`NotearsConvergenceError` (carrying the final h) when the penalty
     cap is reached first or an inner solve ends non-finite; converged runs
     always satisfy h <= H_TOL.
@@ -347,27 +331,30 @@ def notears_learn(
     if not data.is_complete:
         raise ValueError("notears requires complete data")
     gram = gram_matrix(data.values, standardize)
-    vec = _run(_augmented_lagrangian(data.n_cols), functools.partial(_objective, gram, lambda1))
-    return _adjacency(data.columns, vec, omega)
+    (fit,) = notears_lockstep(data.columns, gram[None], np.array([lambda1], dtype=np.float64), omega)
+    if isinstance(fit, NotearsConvergenceError):
+        raise fit
+    return fit
 
 
 def notears_lockstep(
     labels: tuple[str, ...], grams: np.ndarray, lambdas: np.ndarray, omega: float
-) -> list[tuple[WeightedAdjacency, Dag] | None]:
+) -> list[tuple[WeightedAdjacency, Dag] | NotearsConvergenceError]:
     """:func:`notears_learn` on K problems at once, one per Gram matrix
-    (``grams`` (K, d, d), from :func:`gram_matrix`) and ``lambdas`` entry;
-    None marks a cell whose fit failed.
+    (``grams`` (K, d, d), from :func:`gram_matrix`) and ``lambdas`` entry.
+    Returns each cell's fitted W and DAG or, for a cell whose fit failed,
+    the :class:`NotearsConvergenceError` with its final h and rho.
 
     Each cell is an augmented-Lagrangian generator with its own L-BFGS-B
     work arrays, unchanged-x memo and rho/alpha schedule.  Every round
     evaluates all waiting cells in one stacked objective call and resumes
-    each with its slice of ``(f, g, h)``, so each cell takes the path, and
-    ends at the W, of its own :func:`notears_learn` fit bit for bit.  A
-    finished or failed cell leaves the round, and only then are the Gram
-    matrices and lambdas of the others restacked; they go on.
+    each with its slice of ``(f, g, h)``, so each cell takes the same path,
+    and ends at the same W, alone or in any stack.  A finished or failed
+    cell leaves the round, and only then are the Gram matrices and lambdas
+    of the others restacked; they go on.
     """
     d = len(labels)
-    fits: list[tuple[WeightedAdjacency, Dag] | None] = [None] * len(lambdas)
+    fits: list[tuple[WeightedAdjacency, Dag] | NotearsConvergenceError] = [None] * len(lambdas)
     waiting = [(k, _augmented_lagrangian(d)) for k in range(len(lambdas))]
     answers = [None] * len(waiting)  # a new cell is started by sending None
     gram, lam = grams, lambdas  # the waiting cells' problems
@@ -380,7 +367,8 @@ def notears_lockstep(
             except StopIteration as done:
                 fits[k] = _adjacency(labels, done.value, omega)
                 continue
-            except NotearsConvergenceError:
+            except NotearsConvergenceError as err:
+                fits[k] = err
                 continue
             waiting.append(cell)
         if len(waiting) < len(cells):  # a cell left: restack the problems

@@ -11,7 +11,11 @@ vacuous configurations can certify an edge.
 The cells are solved in lockstep (:func:`notears_lockstep`): each keeps
 only its subsample's Gram matrix and its own solver state, and every round
 evaluates the objectives of all waiting cells in one stacked call.  Each
-cell's fit is bit-identical to :func:`notears_learn` on its subsample.
+cell's fit is bit-identical to :func:`notears_learn` on its subsample,
+which is the same lockstep with one cell.  The fits reduce to one boolean
+(lambda, subsample, parent, child) selection array, and the frequencies,
+the valid grid points, the window scan and the peak frequencies are all
+read off it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .._rng import spawn_seed
 from ..bayesnet import Dag, cycle_edges
 from ..dataset import EventMatrix
 from .notears import PARAM_RANGES as NOTEARS_RANGES
-from .notears import gram_matrix, notears_lockstep
+from .notears import NotearsConvergenceError, gram_matrix, notears_lockstep
 from .notears import notears_learn  # noqa: F401  unused here; perfbench/tracer.py patches stability.notears_learn by name
 
 __all__ = ["StabilityReport", "default_lambda_grid", "stability_select"]
@@ -91,9 +95,9 @@ def stability_select(
 
     Each cell draws its subsample from its own child seed and keeps only
     the subsample's Gram matrix.  All cells' NOTEARS fits then advance
-    together, one stacked objective evaluation per round, and the results
-    reduce by cell index; each cell's DAG is the one :func:`notears_learn`
-    gives on its subsample.
+    together, one stacked objective evaluation per round; each cell's DAG
+    is the one :func:`notears_learn` gives on its subsample, and a cell
+    whose fit raised :class:`NotearsConvergenceError` counts as a failure.
     """
     check_ranges(
         PARAM_RANGES,
@@ -112,11 +116,8 @@ def stability_select(
     n = data.n_rows
     size = int(np.ceil(subsample_frac * n))
     labels = data.columns
-    pairs = [(p, c) for p in labels for c in labels if p != c]
-    counts = {pair: np.zeros(len(grid)) for pair in pairs}
-    attempts = np.zeros(len(grid))
-    edge_totals = np.zeros(len(grid))
-    failures = 0
+    d = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
 
     def gram(li: int, ri: int) -> np.ndarray:
         rng = np.random.default_rng(spawn_seed(seed, "stability", li, ri))
@@ -126,57 +127,39 @@ def stability_select(
     cells = [(li, ri) for li in range(len(grid)) for ri in range(n_resamples)]
     grams = np.array([gram(li, ri) for li, ri in cells])
     fits = notears_lockstep(labels, grams, np.array([grid[li] for li, _ in cells]), omega)
-    for (li, _), fit in zip(cells, fits):
-        if fit is None:
-            failures += 1
-            continue
-        dag = fit[1]
-        attempts[li] += 1
-        edge_totals[li] += len(dag.edges)
-        for e in dag.edges:
-            counts[e][li] += 1
+    # fitted[li, ri]: the cell's fit converged; selected[li, ri, i, j]: its DAG has edge i -> j
+    fitted = np.zeros((len(grid), n_resamples), dtype=bool)
+    selected = np.zeros((len(grid), n_resamples, d, d), dtype=bool)
+    for (li, ri), fit in zip(cells, fits):
+        if not isinstance(fit, NotearsConvergenceError):
+            fitted[li, ri] = True
+            for p, c in fit[1].edges:
+                selected[li, ri, index[p], index[c]] = True
 
-    with np.errstate(invalid="ignore"):
-        freq_matrix = {
-            pair: np.where(attempts > 0, cnt / np.maximum(attempts, 1), 0.0)
-            for pair, cnt in counts.items()
-        }
-    mean_edges = np.where(attempts > 0, edge_totals / np.maximum(attempts, 1), 0.0)
-    valid = [
-        i
-        for i in range(len(grid))
-        if (i > 0 or len(grid) == 1) and mean_edges[i] > 0 and attempts[i] > 0
-    ]
-    eff_window = min(window, len(valid)) if valid else window
+    attempts = fitted.sum(axis=1)
+    freq = selected.sum(axis=1) / np.maximum(attempts, 1)[:, None, None]  # (grid, d, d), 0 where no fit
+    valid = selected.any(axis=(1, 2, 3))  # the grid points whose average graph is not empty
+    if len(grid) > 1:
+        valid[0] = False  # the dense end
+    # with no valid point nothing qualifies, whatever the window
+    eff_window = max(1, min(window, int(valid.sum())))
+    qualifies = valid[:, None, None] & (freq >= freq_threshold)
+    windows = np.lib.stride_tricks.sliding_window_view(qualifies, eff_window, axis=0)
+    off_diagonal = ~np.eye(d, dtype=bool)
+    pairs = [(p, c) for p in labels for c in labels if p != c]  # row-major, as [off_diagonal] reads them
+    stable = {pair for pair, s in zip(pairs, windows.all(axis=-1).any(axis=0)[off_diagonal]) if s}
 
-    stable: set[tuple[str, str]] = set()
-    valid_set = set(valid)
-    for pair in pairs:
-        freqs = freq_matrix[pair]
-        run = 0
-        for i in range(len(grid)):
-            if i in valid_set and freqs[i] >= freq_threshold:
-                run += 1
-                if run >= eff_window:
-                    stable.add(pair)
-                    break
-            else:
-                run = 0
-
-    # assemble; on cycles drop the weakest edges (by peak frequency) first
-    def peak(pair: tuple[str, str]) -> float:
-        freqs = freq_matrix[pair]
-        return max((freqs[i] for i in valid), default=0.0)
-
+    # assemble; on cycles drop the weakest edges (by peak frequency over valid points) first
+    peak = dict(zip(pairs, (freq * valid[:, None, None]).max(axis=0)[off_diagonal]))
     kept = set(stable)
     while cycle_edges(kept):
-        kept.remove(min(kept, key=lambda e: (peak(e), e)))
+        kept.remove(min(kept, key=lambda e: (peak[e], e)))
     dag = Dag(labels, kept)
     return StabilityReport(
         lambda_grid=grid,
-        edge_frequencies={pair: tuple(freq_matrix[pair]) for pair in pairs},
+        edge_frequencies=dict(zip(pairs, map(tuple, freq[:, off_diagonal].T))),
         stable_edges=frozenset(stable),
         dag=dag,
-        failures=failures,
-        valid_lambda_indices=tuple(valid),
+        failures=len(fits) - int(fitted.sum()),
+        valid_lambda_indices=tuple(np.flatnonzero(valid).tolist()),
     )

@@ -142,7 +142,12 @@ def preset_network(name: str, seed: int = 0) -> DiscreteBayesNet:
         parts = name.split("-")
         if len(parts) != 3:
             raise ValueError("random preset reads random-<d>-<edge_prob>, e.g. random-6-0.3")
-        return _random_network(_labels(int(parts[1])), float(parts[2]), seed)
+        d, edge_prob = int(parts[1]), float(parts[2])
+        if d < 2:
+            raise ValueError("random preset needs at least 2 nodes")
+        if not 0.0 <= edge_prob <= 1.0:
+            raise ValueError("random preset needs an edge_prob in [0, 1]")
+        return _random_network(_labels(d), edge_prob, seed)
     if name in _SITE_PRESETS:
         return _random_network(_SITE_PRESETS[name][0], 0.25, seed)
     raise ValueError(f"unknown preset {name!r}")
@@ -199,8 +204,8 @@ def simulate(spec: ScenarioSpec) -> tuple[EventMatrix, dict]:
         p = min(1.0, 1.0 / mean_len)
         lengths = np.minimum(rng.geometric(p, size=n), d - 1)
         starts = rng.integers(0, d, size=n)
-        for i in range(n):
-            values[i, starts[i] : starts[i] + lengths[i]] = -1
+        cols = np.arange(d)
+        values[(cols >= starts[:, None]) & (cols < (starts + lengths)[:, None])] = -1
     matrix = EventMatrix(
         complete.columns, values, provenance=f"simulate({spec.preset}, seed={spec.seed})"
     )

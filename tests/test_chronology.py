@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from causalchron import dataset
 from causalchron._rng import spawn_seed
-from causalchron.bayesnet import Dag, local_markov_statements, sample
+from causalchron.bayesnet import CiStatement, Dag, local_markov_statements, sample
 from causalchron.causal import CausalRelationTable, RelationRow
 from causalchron.chronology import (
     ChronologyTree,
@@ -378,7 +378,9 @@ def reference_falsify(g, data, n_perm=20, alpha_ci=0.05, alpha_f=0.05, seed=0):
         perm = rng.permutation(len(nodes))
         mapping = {nodes[i]: nodes[perm[i]] for i in range(len(nodes))}
         relabeled = g.relabel(mapping)
-        v_perm = sum(rejected(s.relabel(mapping)) for s in statements)
+        v_perm = sum(
+            rejected(CiStatement(mapping[s.x], mapping[s.y], frozenset(mapping[v] for v in s.z))) for s in statements
+        )
         baseline.append(v_perm)
         if relabeled.markov_equivalent(g):
             n_equivalent += 1

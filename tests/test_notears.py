@@ -316,6 +316,17 @@ def textbook_objective(data, lambda1):
     return objective
 
 
+def stacked(objective):
+    """A one-problem ``objective(vec, rho, alpha)`` in the stacked objective's
+    place: it answers every slice of a call on its own."""
+
+    def answer(grams, lambdas, vecs, rhos, alphas):
+        f, g, h = zip(*(objective(vec, rho, alpha) for vec, rho, alpha in zip(vecs, rhos, alphas)))
+        return np.array(f), np.array(g), np.array(h)
+
+    return answer
+
+
 def counted_steps(record):
     """``_lbfgsb_steps`` that calls ``record(nfev)`` at the end of each inner solve."""
     steps = notears._lbfgsb_steps
@@ -337,7 +348,7 @@ class TestObjectiveBitIdentity:
         """notears_learn's W bytes and DAG (or its failure) and each inner solve's
         ``nfev``; ``objective(vec, rho, alpha)`` replaces the production one."""
         nfevs = []
-        replaced = notears._objective if objective is None else lambda gram, lam, vec, rho, alpha: objective(vec, rho, alpha)
+        replaced = notears._objective if objective is None else stacked(objective)
         with mock.patch.object(notears, "_lbfgsb_steps", counted_steps(nfevs.append)), mock.patch.object(
             notears, "_objective", replaced
         ):
@@ -376,7 +387,8 @@ class TestLbfgsbDriver:
         statuses = []
 
         def fun(x, rho, alpha):
-            return notears._objective(gram, lambda1, x, rho, alpha)[:2]
+            f, g, _ = notears._objective(gram[None], np.array([lambda1]), x[None], np.array([rho]), np.array([alpha]))
+            return f[0], g[0]
 
         def compared(x0, args, *bounds_and_cap):
             result = yield from steps(x0, args, *bounds_and_cap)
@@ -465,18 +477,19 @@ class TestNonFiniteSolve:
 
     def test_objective_overflow_is_silent(self):
         """A line-search probe at W[0, 1] = W[1, 0] = 30 overflows expm: f is
-        not finite, and neither one problem nor a stack warns about it."""
+        not finite, and neither a one-problem stack nor a larger one warns
+        about it."""
         gram = notears.gram_matrix(sample(preset_network("chain-3"), 200, seed=0).values, False)
         vec = np.zeros(18)
         vec[[1, 3]] = 30.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, _, _ = notears._objective(gram, 0.1, vec, 1.0, 0.0)
-            stacked, _, _ = notears._objective(
+            one, _, _ = notears._objective(gram[None], np.array([0.1]), vec[None], np.ones(1), np.zeros(1))
+            two, _, _ = notears._objective(
                 np.stack([gram, gram]), np.array([0.1, 0.1]), np.stack([vec, 0 * vec]), np.ones(2), np.zeros(2)
             )
-        assert not np.isfinite(f)
-        assert not np.isfinite(stacked[0]) and np.isfinite(stacked[1])
+        assert not np.isfinite(one[0])
+        assert not np.isfinite(two[0]) and np.isfinite(two[1])
 
     def test_stability_counts_nonfinite_solves_as_failures(self):
         data = sample(preset_network("chain-3"), 200, seed=0)
@@ -582,24 +595,120 @@ class TestStabilitySelection:
         assert a.stable_edges == b.stable_edges
         assert a.edge_frequencies == b.edge_frequencies
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 5),
+        n_grid=st.integers(1, 6),
+        n_resamples=st.integers(1, 5),
+        freq_threshold=st.sampled_from([0.2, 0.5, 0.6, 1.0]),
+        window=st.integers(1, 4),
+    )
+    def test_selection_array_matches_the_per_edge_loops(self, seed, d, n_grid, n_resamples, freq_threshold, window):
+        """Random fits and failures, each DAG in its own node order, so the
+        stable union can hold cycles: the report equals the per-edge loops'
+        down to the frequency floats."""
+        from causalchron.bayesnet import Dag
+
+        rng = np.random.default_rng(seed)
+        labels = tuple(f"x{i}" for i in range(d))
+        density = rng.uniform(0.0, 1.0)
+        fits = []
+        for _ in range(n_grid * n_resamples):
+            if rng.random() < 0.2:
+                fits.append(NotearsConvergenceError(np.nan, 1.0))
+                continue
+            order = rng.permutation(labels)
+            edges = [(order[i], order[j]) for i in range(d) for j in range(i + 1, d) if rng.random() < density]
+            fits.append((None, Dag(labels, edges)))
+        grid = tuple(sorted(rng.uniform(0.01, 1.0, size=n_grid)))
+        data = EventMatrix(labels, np.zeros((20, d), dtype=np.int8))
+        with mock.patch.object(stability, "notears_lockstep", lambda *problem: fits):
+            report = stability_select(
+                data, lambda_grid=grid, n_resamples=n_resamples, freq_threshold=freq_threshold, window=window
+            )
+        reference = reference_stability_report(labels, grid, n_resamples, fits, freq_threshold, window)
+        assert report == reference
+        assert {pair: [f.hex() for f in freqs] for pair, freqs in report.edge_frequencies.items()} == {
+            pair: [f.hex() for f in freqs] for pair, freqs in reference.edge_frequencies.items()
+        }
+
+
+def reference_stability_report(labels, grid, n_resamples, fits, freq_threshold, window):
+    """Stability selection's reduction as per-edge loops over frequency dicts,
+    which the selection array replaced; ``fits`` in cell order."""
+    from causalchron.bayesnet import Dag, cycle_edges
+
+    pairs = [(p, c) for p in labels for c in labels if p != c]
+    counts = {pair: np.zeros(len(grid)) for pair in pairs}
+    attempts = np.zeros(len(grid))
+    edge_totals = np.zeros(len(grid))
+    failures = 0
+    cells = [(li, ri) for li in range(len(grid)) for ri in range(n_resamples)]
+    for (li, _), fit in zip(cells, fits):
+        if isinstance(fit, NotearsConvergenceError):
+            failures += 1
+            continue
+        attempts[li] += 1
+        edge_totals[li] += len(fit[1].edges)
+        for e in fit[1].edges:
+            counts[e][li] += 1
+    with np.errstate(invalid="ignore"):
+        freq_matrix = {
+            pair: np.where(attempts > 0, cnt / np.maximum(attempts, 1), 0.0) for pair, cnt in counts.items()
+        }
+    mean_edges = np.where(attempts > 0, edge_totals / np.maximum(attempts, 1), 0.0)
+    valid = [i for i in range(len(grid)) if (i > 0 or len(grid) == 1) and mean_edges[i] > 0 and attempts[i] > 0]
+    eff_window = min(window, len(valid)) if valid else window
+    stable = set()
+    for pair in pairs:
+        run = 0
+        for i in range(len(grid)):
+            if i in valid and freq_matrix[pair][i] >= freq_threshold:
+                run += 1
+                if run >= eff_window:
+                    stable.add(pair)
+                    break
+            else:
+                run = 0
+
+    def peak(pair):
+        return max((freq_matrix[pair][i] for i in valid), default=0.0)
+
+    kept = set(stable)
+    while cycle_edges(kept):
+        kept.remove(min(kept, key=lambda e: (peak(e), e)))
+    return stability.StabilityReport(
+        lambda_grid=grid,
+        edge_frequencies={pair: tuple(freq_matrix[pair]) for pair in pairs},
+        stable_edges=frozenset(stable),
+        dag=Dag(labels, kept),
+        failures=failures,
+        valid_lambda_indices=tuple(valid),
+    )
+
 
 def log_evaluations(monkeypatch):
     """Patch the objective to log every point it evaluates, per problem: the
     problem is keyed by its Gram matrix bytes and lambda, the point logged as
-    (x bytes, rho, alpha).  One-problem and stacked calls log alike."""
+    (x bytes, rho, alpha)."""
     log = defaultdict(list)
     objective = notears._objective
 
     def logged(gram, lambda1, vec, rho, alpha):
-        d = gram.shape[-1]
-        vecs = vec.reshape(-1, 2 * d * d)
-        params = (np.broadcast_to(v, len(vecs)) for v in (lambda1, rho, alpha))
-        for g, x, lam, r, a in zip(gram.reshape(-1, d, d), vecs, *params):
+        for g, x, lam, r, a in zip(gram, vec, lambda1, rho, alpha):
             log[g.tobytes(), float(lam)].append((x.tobytes(), float(r), float(a)))
         return objective(gram, lambda1, vec, rho, alpha)
 
     monkeypatch.setattr(notears, "_objective", logged)
     return log
+
+
+def outcome(fit):
+    """A fit's W bytes, or the bytes of its failure's final h and rho."""
+    if isinstance(fit, NotearsConvergenceError):
+        return np.float64(fit.h_final).tobytes(), np.float64(fit.rho).tobytes()
+    return fit[0].w.tobytes()
 
 
 def solve_nfevs(evaluations):
@@ -644,8 +753,8 @@ class TestLockstep:
     )
     def test_objective_h_is_acyclicity_h_of_every_slice(self, seed, d, k, scale, density):
         """The h a solve takes from the objective instead of calling
-        acyclicity_h: equal by bytes, stacked or not, for sparse, dense and
-        triangular W."""
+        acyclicity_h: equal by bytes, alone or in a stack, for sparse, dense
+        and triangular W."""
         rng = np.random.default_rng(seed)
         vecs = rng.uniform(0, scale, size=(k, 2 * d * d)) * (rng.random((k, 2 * d * d)) < density)
         vecs[:, np.tile(np.eye(d, dtype=bool).ravel(), 2)] = 0.0
@@ -654,8 +763,9 @@ class TestLockstep:
         _, _, h = notears._objective(grams, lambdas, vecs, rhos, alphas)
         for i in range(k):
             h_ref = acyclicity_h(notears._unpack(vecs[i], d))[0]
-            _, _, h_one = notears._objective(grams[i], lambdas[i], vecs[i], rhos[i], alphas[i])
-            assert np.float64(h[i]).tobytes() == np.float64(h_ref).tobytes() == np.float64(h_one).tobytes()
+            one = slice(i, i + 1)
+            _, _, h_one = notears._objective(grams[one], lambdas[one], vecs[one], rhos[one], alphas[one])
+            assert np.float64(h[i]).tobytes() == np.float64(h_ref).tobytes() == h_one.tobytes()
 
     @staticmethod
     def subsamples(data, lambda_grid, n_resamples, seed, subsample_frac=0.8):
@@ -696,8 +806,8 @@ class TestLockstep:
                 per_solve.append([])
                 try:
                     out.append(notears_learn(sub, lambda1=lam, omega=omega))
-                except NotearsConvergenceError:
-                    out.append(None)
+                except NotearsConvergenceError as err:
+                    out.append(err)
             return out
 
         monkeypatch.setattr(stability, "notears_lockstep", captured("lockstep", lockstep))
@@ -709,12 +819,26 @@ class TestLockstep:
         reference = stability_select(data, **kwargs)
 
         assert report == reference
-        n_failed = sum(fit is None for fit in fits["per cell"])
+        n_failed = sum(isinstance(fit, NotearsConvergenceError) for fit in fits["per cell"])
         assert report.failures == n_failed
         assert (n_failed > 0) == (rho_max < 1e16) and n_failed < len(cells)
-        assert [None if f is None else f[0].w.tobytes() for f in fits["lockstep"]] == [
-            None if f is None else f[0].w.tobytes() for f in fits["per cell"]
-        ]
+        assert list(map(outcome, fits["lockstep"])) == list(map(outcome, fits["per cell"]))
         assert len(evaluations) == len(cells)
         assert evaluations == dict(log)
         assert [solve_nfevs(evaluations[key]) for key in keys] == per_solve
+
+    def test_failed_cell_returns_the_error_notears_learn_raises(self, monkeypatch):
+        # at a penalty cap of 1e3 the dense cells fail and the sparse ones converge
+        monkeypatch.setattr(notears, "RHO_MAX", 1e3)
+        problems = [(sample(preset_network("chain-4"), 300, seed=s), lam) for s in (12, 13) for lam in (1e-3, 0.5)]
+        grams = np.array([notears.gram_matrix(m.values, False) for m, _ in problems])
+        fits = notears.notears_lockstep(problems[0][0].columns, grams, np.array([lam for _, lam in problems]), 0.3)
+        failed = [isinstance(fit, NotearsConvergenceError) for fit in fits]
+        assert any(failed) and not all(failed)
+        for (m, lam), fit in zip(problems, fits):
+            try:
+                alone = notears_learn(m, lambda1=lam)
+            except NotearsConvergenceError as err:
+                alone = err
+            assert type(alone) is type(fit)
+            assert outcome(alone) == outcome(fit)

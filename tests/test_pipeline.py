@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,11 @@ from causalchron.pipeline import (
     run_pipeline,
     simulate,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # dataclasses look the module up
+_spec.loader.exec_module(workloads)
 
 
 class TestPresets:
@@ -43,6 +50,27 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_network("lattice")
+
+    @pytest.mark.parametrize(
+        "name, match",
+        [
+            ("chain-1", "at least 2 nodes"),
+            ("random-1-0.5", "at least 2 nodes"),
+            ("random-0-0.5", "at least 2 nodes"),
+            ("random-4-1.5", r"edge_prob in \[0, 1\]"),
+            ("random-4--0.1", "reads random-<d>-<edge_prob>"),
+            ("random-4-nan", r"edge_prob in \[0, 1\]"),
+        ],
+    )
+    def test_degenerate_preset_rejected_at_construction(self, name, match):
+        with pytest.raises(ValueError, match=match):
+            preset_network(name)
+        with pytest.raises(ValueError, match=match):
+            ScenarioSpec(preset=name)
+
+    def test_edge_prob_bounds_are_allowed(self):
+        assert preset_network("random-4-0").dag.edges == frozenset()
+        assert len(preset_network("random-4-1").dag.edges) == 6
 
 
 class TestSimulate:
@@ -78,6 +106,18 @@ class TestSimulate:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             ScenarioSpec(preset="chain-3", missing_rate=1.0)
+
+    @pytest.mark.parametrize(
+        "preset, workload, n_rows",
+        [("ndhb-like", "ndhb-effects", None), ("ndhd-like", "ndhd-impute", None), ("chain-5", "chain5-stability", 2000)],
+    )
+    def test_same_sample_as_the_benchmark_generator(self, preset, workload, n_rows):
+        """perfbench/workloads.py draws the benchmark's inputs with numpy
+        alone; they must stay the reads simulate gives at seed 0."""
+        matrix, _ = simulate(ScenarioSpec(preset=preset, n_rows=n_rows, seed=0))
+        expected = workloads._sample(workloads.WORKLOADS[workload])
+        assert matrix.values.dtype == expected.dtype
+        assert np.array_equal(matrix.values, expected)
 
 
 def tree_hash(path: Path) -> dict[str, str]:
