@@ -1,16 +1,18 @@
 """The compiled scipy kernels the package calls, loaded without their packages.
 
-From scipy the package needs three things: the L-BFGS-B step ``setulb``
-(Byrd, Lu, Nocedal & Zhu 1995) of ``scipy.optimize._lbfgsb`` and the Padé
-kernels ``pick_pade_structure``/``pade_UV_calc`` of
-``scipy.linalg._matfuncs_expm`` behind ``expm`` (Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 2009), both for NOTEARS, and the chi-square tail
-``chdtrc`` of ``scipy.special._ufuncs`` for the G² test.  Importing them the
-usual way runs the ``__init__`` of ``scipy.optimize``, ``scipy.linalg`` and
-``scipy.special``, which load most of those packages: on CPython 3.11 with
-scipy 1.17, ``import causalchron.pipeline`` then peaks at about 79 MiB of
-RSS instead of 39 MiB.  :func:`load_kernel` instead finds each extension
-module in scipy's install directory and runs only its own initialisation.
+This module is the one place that knows scipy's layout.  The package needs
+four scipy kernels: the L-BFGS-B step ``setulb`` (Byrd, Lu, Nocedal & Zhu
+1995) of ``scipy.optimize._lbfgsb`` and the Padé kernels
+``pick_pade_structure``/``pade_UV_calc`` of ``scipy.linalg._matfuncs_expm``
+behind ``expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009), both
+for NOTEARS, and the ufuncs ``chdtrc`` (chi-square tail, G² test) and
+``_hypergeom_pmf`` (exact Fisher test; ``scipy.stats.hypergeom.pmf`` wraps
+it) of ``scipy.special._ufuncs``.  Importing them the usual way runs the
+``__init__`` of ``scipy.optimize``, ``scipy.linalg`` and ``scipy.special``,
+which load most of those packages: on CPython 3.11 with scipy 1.17,
+``import causalchron.pipeline`` then peaks at about 79 MiB of RSS instead
+of 39 MiB.  :func:`load_kernel` instead finds each extension module in
+scipy's install directory and runs only its own initialisation.
 
 An extension such as ``_ufuncs`` imports siblings (``._ufuncs_cxx`` and
 others) while it initialises, and a relative import runs its package's
@@ -48,7 +50,7 @@ from types import ModuleType
 import numpy as np
 import scipy
 
-__all__ = ["expm", "load_kernel", "setulb"]
+__all__ = ["chdtrc", "expm", "hypergeom_pmf", "load_kernel", "setulb"]
 
 
 def load_kernel(package: str, name: str) -> ModuleType:
@@ -78,6 +80,9 @@ def load_kernel(package: str, name: str) -> ModuleType:
 
 setulb = load_kernel("optimize", "_lbfgsb").setulb
 _pade = load_kernel("linalg", "_matfuncs_expm")
+_ufuncs = load_kernel("special", "_ufuncs")
+chdtrc = _ufuncs.chdtrc  # at (df, x)
+hypergeom_pmf = _ufuncs._hypergeom_pmf  # at (k, n_good, n_draws, n_total), not clipped to [0, 1]
 
 
 def _exp_sinch(x: np.ndarray) -> np.ndarray:

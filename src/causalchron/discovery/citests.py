@@ -1,10 +1,7 @@
 """Dependence tests on binary columns: G-squared and exact Fisher.
 
-The G² p-value is the chi-square tail ``chdtrc`` of scipy's compiled
-``scipy.special._ufuncs``, which ``_scipy_kernels.load_kernel`` loads
-without running ``scipy.special``'s ``__init__``: importing the package
-would load all of it, about 16 MiB of peak memory and 0.2 s of start-up
-in every process, for one ufunc.
+The p-values come from scipy's compiled ``chdtrc`` (G²) and
+``hypergeom_pmf`` (Fisher), as ``causalchron._scipy_kernels`` loads them.
 
 Every test counts its strata with ``dataset.stacked_counts`` over the
 distinct rows of the matrix (``EventMatrix.row_patterns``); ``ci_test_g2``
@@ -18,15 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .._scipy_kernels import load_kernel
+from .._scipy_kernels import chdtrc, hypergeom_pmf
 from ..dataset import MISSING, ContingencyTable, EventMatrix, stacked_counts
 
 __all__ = ["G2Result", "ci_test_g2", "g2_tests", "fisher_exact"]
 
 #: strata with fewer rows than this are skipped, reducing the degrees of freedom
 MIN_STRATUM_ROWS = 5
-
-chdtrc = load_kernel("special", "_ufuncs").chdtrc
 
 
 @dataclass(frozen=True)
@@ -129,12 +124,9 @@ def fisher_exact(t: ContingencyTable) -> float:
     n = t.total
     row1 = t.n10 + t.n11
     col1 = t.n01 + t.n11
-    # imported here, not at module level: only the frequency baseline calls
-    # this, and importing scipy.stats costs every process about 0.7 s
-    from scipy import stats
-
     lo = max(0, row1 + col1 - n)
-    pmf = stats.hypergeom.pmf(np.arange(lo, min(row1, col1) + 1), n, row1, col1)
+    # unclipped: only a one-point support can round above 1, and that table returns 1.0 below
+    pmf = hypergeom_pmf(np.arange(lo, min(row1, col1) + 1), row1, col1, n)
     included = pmf <= pmf[t.n11 - lo] * (1.0 + 1e-7)
     if included.all():
         return 1.0

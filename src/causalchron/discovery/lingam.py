@@ -108,8 +108,6 @@ def lingam_learn(data: EventMatrix, threshold: float = 0.1) -> Dag:
     x = data.values.astype(np.float64)
     centered = x - x.mean(axis=0)
     d = centered.shape[1]
-    if d == 1:
-        return Dag(data.columns, [])
     order = _causal_order(centered)
     sd = centered.std(axis=0)
     edges: list[tuple[str, str]] = []

@@ -19,10 +19,8 @@ stacked objective call per round; :func:`notears_learn` is its one-cell
 case.
 
 The L-BFGS-B step ``setulb`` and ``expm`` come from
-:mod:`causalchron._scipy_kernels`, which loads only those compiled scipy
-kernels, not ``scipy.optimize`` or ``scipy.linalg``; each iterate is
-bit-identical to the one ``scipy.optimize.minimize`` and
-``scipy.linalg.expm`` would give.
+:mod:`causalchron._scipy_kernels`; each iterate is bit-identical to the one
+``scipy.optimize.minimize`` and ``scipy.linalg.expm`` would give.
 
 Columns are centered but deliberately not rescaled by default: the method
 is not invariant to variable rescaling, so changing the scale changes the

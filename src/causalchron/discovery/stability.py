@@ -149,11 +149,11 @@ def stability_select(
     pairs = [(p, c) for p in labels for c in labels if p != c]  # row-major, as [off_diagonal] reads them
     stable = {pair for pair, s in zip(pairs, windows.all(axis=-1).any(axis=0)[off_diagonal]) if s}
 
-    # assemble; on cycles drop the weakest edges (by peak frequency over valid points) first
+    # assemble; while a cycle remains, drop the weakest edge on one (by peak frequency over valid points)
     peak = dict(zip(pairs, (freq * valid[:, None, None]).max(axis=0)[off_diagonal]))
     kept = set(stable)
-    while cycle_edges(kept):
-        kept.remove(min(kept, key=lambda e: (peak[e], e)))
+    while in_cycle := cycle_edges(kept):
+        kept.remove(min(in_cycle, key=lambda e: (peak[e], e)))
     dag = Dag(labels, kept)
     return StabilityReport(
         lambda_grid=grid,

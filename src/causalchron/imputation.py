@@ -210,6 +210,8 @@ def em_impute(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not tol >= 0:  # NaN too: no change fraction is below it
+        raise ValueError("tol must be non-negative")
     missing_mask = m.values == MISSING
     modes = _column_modes(m.values)
     completed = initial_impute(m, method=initial_method)

@@ -233,21 +233,47 @@ class TestFisherExact:
         assert fisher_exact(t).hex() == frozen.hex()
 
     def test_package_import_leaves_scipy_stats_unloaded(self):
-        # fisher_exact imports scipy.stats itself, and the G² test and NOTEARS
-        # load only the compiled kernels they call, so start-up pays for none
-        # of these packages; a pipeline run imports no module at all (numpy.random
-        # loads with the package, numpy.ma never); importing the packages later
+        # the G² and Fisher tests and NOTEARS load only the compiled kernels
+        # they call, so start-up pays for none of these packages; no command
+        # imports any module at all after causalchron.cli (numpy.random loads
+        # with the package, numpy.ma never); importing the packages later
         # binds the very kernels the package calls
         out = fresh_python("""if True:
-            import json, sys, tempfile, causalchron, causalchron.cli, causalchron.pipeline
-            from causalchron.pipeline import PipelineConfig, ScenarioSpec, run_pipeline
+            import contextlib, io, json, os, sys, tempfile, causalchron, causalchron.cli, causalchron.pipeline
+            from causalchron.chronology import deterministic_chronology
+            from causalchron.dataset import ContingencyTable
+            from causalchron.discovery import fisher_exact
+            from causalchron.pipeline import PipelineConfig, ScenarioSpec, simulate
             unloaded = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special",
                         "scipy.optimize._lbfgsb", "scipy.linalg._matfuncs_expm", "scipy.special._ufuncs")
             loaded = [name for name in unloaded if name in sys.modules]
             before = set(sys.modules)
-            with tempfile.TemporaryDirectory() as run_dir:
+            # two library calls' checks, then the exit code of each command line
+            ran = [fisher_exact(ContingencyTable("a", "b", 7, 1, 2, 9)) < 1.0]
+            matrix, _ = simulate(ScenarioSpec(preset="chain-4", n_rows=300, seed=0))
+            ran.append(len(deterministic_chronology(matrix).dag.edges) > 0)
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+                def run(*argv):
+                    ran.append(causalchron.cli.main([str(arg) for arg in argv]))
+                sim, imp = os.path.join(tmp, "sim"), os.path.join(tmp, "imp")
+                data, dag = os.path.join(imp, "data.imputed.csv"), os.path.join(tmp, "hc", "dag.hc.edges")
+                run("simulate", "--preset", "chain-4", "--n", 300, "--rate", 0.2, "--seed", 0, "--out", sim)
+                run("impute", "--data", os.path.join(sim, "data.csv"), "--out", imp)
+                for algo in ("hc", "pc", "lingam", "notears"):
+                    run("discover", "--data", data, "--algo", algo, "--out", os.path.join(tmp, algo))
+                run("discover", "--data", data, "--algo", "notears-stability", "--lambda-grid", "0.05:0.2:2",
+                    "--resamples", 2, "--out", os.path.join(tmp, "stability"))
+                run("effects", "--dag", dag, "--data", data, "--out", os.path.join(tmp, "effects"))
+                run("chronology", "--relations", os.path.join(tmp, "effects", "effects.json"), "--dag", dag,
+                    "--out", os.path.join(tmp, "chronology"))
+                run("baseline", "--data", data, "--out", os.path.join(tmp, "baseline"))
+                run("compare", "--data", data, "--model", f"hc={dag}", "--out", os.path.join(tmp, "scores.csv"))
+                run("falsify", "--dag", dag, "--data", data, "--perms", 2, "--out", os.path.join(tmp, "verdict.json"))
+                config = os.path.join(tmp, "config.json")
                 scenario = ScenarioSpec(preset="chain-5", n_rows=300, missing_rate=0.2)
-                run_pipeline(PipelineConfig(scenario=scenario, output_dir=run_dir, falsify_perms=2))
+                with open(config, "w", encoding="utf-8") as fh:
+                    json.dump(PipelineConfig(scenario=scenario, falsify_perms=2).to_doc(), fh)
+                run("pipeline", "--config", config, "--out", os.path.join(tmp, "run"))
             loaded += [name for name in unloaded + ("numpy.ma",) if name in sys.modules]
             loaded += sorted(set(sys.modules) - before)
             import scipy.linalg, scipy.optimize, scipy.special, scipy.stats
@@ -258,12 +284,13 @@ class TestFisherExact:
                 scipy.linalg._matfuncs_expm.pick_pade_structure is _scipy_kernels._pade.pick_pade_structure,
                 scipy.linalg._matfuncs_expm.pade_UV_calc is _scipy_kernels._pade.pade_UV_calc,
                 scipy.special.chdtrc is citests.chdtrc,
+                scipy.special._ufuncs._hypergeom_pmf is _scipy_kernels.hypergeom_pmf,
             ]
             x, df = [0.0, 0.5, 3.84, 12.0, 80.0], [1, 2, 3, 7, 16]
             same.append(scipy.stats.chi2.sf(x, df).tolist() == citests.chdtrc(df, x).tolist())
-            print(json.dumps({"loaded": loaded, "same": same}))
+            print(json.dumps({"loaded": loaded, "ran": ran, "same": same}))
         """)
-        assert out == {"loaded": [], "same": [True] * 5}
+        assert out == {"loaded": [], "ran": [True, True] + [0] * 13, "same": [True] * 6}
         # scipy.special imported first: the loader takes the package's own
         # module and leaves the real package in place
         out = fresh_python("""if True:

@@ -52,6 +52,12 @@ class TestImputeCommand:
         report = json.loads((out / "imputation.json").read_text())
         assert set(report) == {"iterations", "edge_change_history", "converged"}
 
+    def test_negative_tol_exit_1(self, chain_data, tmp_path, capsys):
+        out = tmp_path / "imp"
+        assert main(["impute", "--data", str(chain_data), "--tol", "-1", "--out", str(out)]) == 1
+        assert "tol must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiscoverCommand:
     def test_each_algorithm(self, chain_data, tmp_path, capsys):

@@ -340,6 +340,16 @@ class TestEmImpute:
         with pytest.raises(RuntimeError, match="EM iteration 0"):
             em_impute(m, broken, seed=0)
 
+    def test_bad_stopping_rule_rejected(self):
+        m = matrix(["a", "b"], [[1, MISSING], [0, 1], [1, 1]])
+        for kwargs, match in (
+            ({"max_iter": 0}, "max_iter"),
+            ({"tol": -1.0}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                em_impute(m, get_learner("hc"), **kwargs)
+
     def test_report_json(self):
         import json
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from causalchron import _scipy_kernels
 from causalchron._rng import spawn_seed
-from causalchron.bayesnet import sample
+from causalchron.bayesnet import cycle_edges, sample
 from causalchron.dataset import EventMatrix
 from causalchron.discovery import (
     NotearsConvergenceError,
@@ -27,7 +27,7 @@ from causalchron.discovery import (
     stability_select,
     threshold_to_dag,
 )
-from causalchron.pipeline import preset_network
+from causalchron.pipeline import ScenarioSpec, preset_network, simulate
 
 from conftest import fresh_python, random_network
 
@@ -587,6 +587,16 @@ class TestStabilitySelection:
         assert report.edge_frequencies[("b", "c")] == (0.5,)
         assert report.dag.edges == {("a", "b"), ("c", "a")}
 
+    def test_cycle_repair_keeps_the_edges_on_no_cycle(self):
+        # the stable set holds the 2-cycle x2 <-> x3 and x2 -> x1, x3 -> x4,
+        # which lie on no cycle; x2 -> x1 has the lowest peak frequency
+        data, _ = simulate(ScenarioSpec("chain-4", n_rows=400, seed=6))
+        report = stability_select(
+            data, lambda_grid=(0.01, 0.03, 0.1), n_resamples=4, freq_threshold=0.25, window=1, seed=6
+        )
+        assert report.stable_edges == {("x2", "x1"), ("x2", "x3"), ("x3", "x2"), ("x3", "x4")}
+        assert report.dag.edges == {("x2", "x1"), ("x3", "x2"), ("x3", "x4")}
+
     def test_deterministic_given_seed(self):
         data = sample(preset_network("chain-4"), 800, seed=8)
         kwargs = dict(lambda_grid=default_lambda_grid(1e-2, 0.5, 4), n_resamples=5, seed=3)
@@ -629,6 +639,7 @@ class TestStabilitySelection:
             )
         reference = reference_stability_report(labels, grid, n_resamples, fits, freq_threshold, window)
         assert report == reference
+        assert report.stable_edges - cycle_edges(report.stable_edges) <= report.dag.edges
         assert {pair: [f.hex() for f in freqs] for pair, freqs in report.edge_frequencies.items()} == {
             pair: [f.hex() for f in freqs] for pair, freqs in reference.edge_frequencies.items()
         }
@@ -637,7 +648,7 @@ class TestStabilitySelection:
 def reference_stability_report(labels, grid, n_resamples, fits, freq_threshold, window):
     """Stability selection's reduction as per-edge loops over frequency dicts,
     which the selection array replaced; ``fits`` in cell order."""
-    from causalchron.bayesnet import Dag, cycle_edges
+    from causalchron.bayesnet import Dag
 
     pairs = [(p, c) for p in labels for c in labels if p != c]
     counts = {pair: np.zeros(len(grid)) for pair in pairs}
@@ -676,8 +687,8 @@ def reference_stability_report(labels, grid, n_resamples, fits, freq_threshold, 
         return max((freq_matrix[pair][i] for i in valid), default=0.0)
 
     kept = set(stable)
-    while cycle_edges(kept):
-        kept.remove(min(kept, key=lambda e: (peak(e), e)))
+    while in_cycle := cycle_edges(kept):
+        kept.remove(min(in_cycle, key=lambda e: (peak(e), e)))
     return stability.StabilityReport(
         lambda_grid=grid,
         edge_frequencies={pair: tuple(freq_matrix[pair]) for pair in pairs},
