@@ -28,7 +28,7 @@ values = np.array(
     ],
     dtype=np.int8,
 )
-matrix = EventMatrix(labels, values, provenance="demo")
+matrix = EventMatrix(labels, values)
 
 profile = missingness_profile(matrix)
 print("missing fraction per column:")

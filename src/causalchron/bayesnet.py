@@ -320,26 +320,23 @@ class DiscreteBayesNet:
         return float(self.marginal(nodes)[tuple(int(assignment[n]) for n in nodes)])
 
     def marginal(self, nodes: Sequence[str]) -> np.ndarray:
-        """P(nodes) as an array of shape ``(2,) * len(nodes)``, one axis per node in argument order."""
-        return marginal(self.dag, {c.node: c.table for c in self.cpts}, nodes)
+        """P(nodes), shape ``(2,) * len(nodes)``, one axis per node in argument order: one draw of :func:`marginal`."""
+        return marginal(self.dag, {c.node: c.table[None] for c in self.cpts}, nodes)[0]
 
 
-def marginal(
-    dag: Dag, tables: Mapping[str, np.ndarray], nodes: Sequence[str], draws: bool = False
-) -> np.ndarray:
-    """P(nodes), one axis per node in argument order, from the table P(node | parents) of each node of ``dag``.
+def marginal(dag: Dag, tables: Mapping[str, np.ndarray], nodes: Sequence[str]) -> np.ndarray:
+    """P(nodes) per draw, from the table P(node | parents) of each node of ``dag`` per draw.
 
-    Only the tables of the ancestral closure of ``nodes`` enter: every
-    other node is barren and sums to one.  The other variables of the
-    closure are summed out one at a time with ``np.einsum``, first the
-    one whose result has the smallest scope (ties by node order).
-    Labels are renumbered at each step, so einsum's 52-label cap limits
-    the scope of a single factor, not the size of the network.
-
-    With ``draws``, every table carries a leading axis of independent
-    draws (shape ``(D,) + (2,) * (k + 1)``) and so does the result.  That
-    axis is one more einsum label, kept in every factor and in the output,
-    so the order of elimination is the one without it.
+    Every table carries a leading axis of independent draws, shape
+    ``(D,) + (2,) * (k + 1)``, and so does the result, with one axis per
+    node in argument order after it.  Only the tables of the ancestral
+    closure of ``nodes`` enter: every other node is barren and sums to
+    one.  The other variables of the closure are summed out one at a
+    time with ``np.einsum``, first the one whose result has the smallest
+    scope (ties by node order); the draw axis is one more label, kept in
+    every factor and in the output.  Labels are renumbered at each step,
+    so einsum's 52-label cap limits the scope of a single factor, not the
+    size of the network.
     """
     nodes = tuple(nodes)
     if len(set(nodes)) != len(nodes):
@@ -359,26 +356,24 @@ def marginal(
         scope = scope_without(v)
         involved = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
-        factors.append((scope, _contract(involved, scope, draws)))
-    return _contract(factors, nodes, draws)
+        factors.append((scope, _contract(involved, scope)))
+    return _contract(factors, nodes)
 
 
-def _contract(
-    factors: Sequence[tuple[tuple[str, ...], np.ndarray]], out: Sequence[str], draws: bool
-) -> np.ndarray:
+def _contract(factors: Sequence[tuple[tuple[str, ...], np.ndarray]], out: Sequence[str]) -> np.ndarray:
     """Product of (scope, table) factors, summed down to the variables ``out`` in that order.
 
-    With ``draws`` each table has a leading draw axis outside its scope,
-    labelled 0 in every operand and in the output.
+    Each table has a leading draw axis outside its scope, labelled 0 in
+    every operand and in the output; with no factors the result is one
+    draw of probability one.
     """
-    lead = [0] if draws else []
     label: dict[str, int] = {}
     operands: list = []
     for scope, table in factors:
-        operands += [table, lead + [label.setdefault(v, len(lead) + len(label)) for v in scope]]
+        operands += [table, [0] + [label.setdefault(v, 1 + len(label)) for v in scope]]
     if not operands:
-        return np.ones(())
-    return np.einsum(*operands, lead + [label[v] for v in out])
+        return np.ones(1)
+    return np.einsum(*operands, [0] + [label[v] for v in out])
 
 
 @dataclass(frozen=True)
@@ -664,7 +659,7 @@ def sample(bn: DiscreteBayesNet, n: int, seed: int) -> EventMatrix:
         cpt = bn.cpt(node)
         p1 = cpt.p1[assignment_index(values, [col_of[p] for p in cpt.parents])]
         values[:, col_of[node]] = (rng.random(n) < p1).astype(np.int8)
-    return EventMatrix(columns, values, provenance=f"sampled(seed={seed})")
+    return EventMatrix(columns, values)
 
 
 # ---------------------------------------------------------------------------

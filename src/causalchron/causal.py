@@ -120,9 +120,7 @@ def mediators(g: Dag, x: str, y: str) -> frozenset[str]:
 
 def ace(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
     """Average causal effect by exact backdoor adjustment on the verified backdoor set."""
-    z = backdoor_set(bn.dag, x, y)
-    order, read = _ace_reader(bn.dag, x, y, z)
-    return EffectEstimate(x, y, "ACE", read(bn.marginal(order)[None])[0], z, frozenset())
+    return _estimate(bn, x, y, direct=False)
 
 
 #: the node order of an estimand's exact table and the estimate read off that
@@ -211,17 +209,41 @@ def _nde_reader(dag: Dag, x: str, y: str, meds: frozenset[str], z: frozenset[str
 
 def nde(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
     """Natural direct effect: the part of the effect not routed via mediators."""
-    meds = mediators(bn.dag, x, y)
-    if not meds:
+    if not mediators(bn.dag, x, y):
         raise ValueError(f"no mediators between {x!r} and {y!r}: use ace()")
-    z = backdoor_set(bn.dag, x, y)
-    order, read = _nde_reader(bn.dag, x, y, meds, z)
-    return EffectEstimate(x, y, "NDE", read(bn.marginal(order)[None])[0], z, meds)
+    return _estimate(bn, x, y, direct=True)
 
 
-def _estimate_edge(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
-    meds = mediators(bn.dag, x, y)
-    return nde(bn, x, y) if meds else ace(bn, x, y)
+def _plan(dag: Dag, x: str, y: str, direct: bool) -> tuple:
+    """The backdoor set, the mediators, the sub-DAG and the reader of the estimand of x on y.
+
+    The estimand is the natural direct effect when ``direct`` is set and
+    x reaches y through mediators, else the average effect (no
+    mediators).  An estimate reads one draw of tables through the plan, a
+    refit D draws.  The sub-DAG is the ancestral closure of {x, y}, which
+    holds the backdoor set and the mediators, with the nodes in ``dag``'s
+    order: every other node is barren in the estimand's marginal, so
+    tables fitted on the sub-DAG give the estimate of tables fitted on
+    ``dag``, bit for bit.  The plan is a pure function of the immutable
+    ``dag``, so it is kept with the instance, keyed by the estimand: the
+    estimate and the refits of an edge share one.
+    """
+    meds = mediators(dag, x, y) if direct else frozenset()
+    key = ("plan", x, y, bool(meds))
+    if key not in dag._memo:
+        z = backdoor_set(dag, x, y)
+        keep = {x, y} | dag.ancestors(x) | dag.ancestors(y)
+        sub = Dag([n for n in dag.nodes if n in keep], [(p, c) for p, c in dag.edges if c in keep])
+        reader = _nde_reader(dag, x, y, meds, z) if meds else _ace_reader(dag, x, y, z)
+        dag._memo[key] = (z, meds, sub, *reader)
+    return dag._memo[key]
+
+
+def _estimate(bn: DiscreteBayesNet, x: str, y: str, direct: bool) -> EffectEstimate:
+    """The estimand of :func:`_plan` on the fitted tables: the one-draw case of a refit."""
+    z, meds, sub, order, read = _plan(bn.dag, x, y, direct)
+    value = read(marginal(sub, {n: bn.cpt(n).table[None] for n in sub.nodes}, order))[0]
+    return EffectEstimate(x, y, "NDE" if meds else "ACE", value, z, meds)
 
 
 @dataclass(frozen=True)
@@ -343,30 +365,6 @@ class CausalRelationTable:
         return cls(dag, rows)
 
 
-def _refit_plan(
-    dag: Dag, x: str, y: str, estimand_kind: str
-) -> tuple[Dag, tuple[str, ...], Callable[[np.ndarray], list[float]]]:
-    """The sub-DAG a refit needs, the node order of the estimand's table and the estimate read off it.
-
-    The backdoor set and the mediators are worked out once on ``dag``.
-    The sub-DAG is the ancestral closure of {x, y}, which holds both, with
-    the nodes in ``dag``'s order: every other node is barren in the
-    estimand's marginal, so a network fitted on the sub-DAG gives the
-    estimate of one fitted on ``dag``, bit for bit.  The plan is a pure
-    function of the immutable ``dag``, so it is kept with the instance:
-    the placebo and subset refits of an edge share one.
-    """
-    key = ("refit_plan", x, y, estimand_kind)
-    if key not in dag._memo:
-        z = backdoor_set(dag, x, y)
-        meds = mediators(dag, x, y) if estimand_kind == "NDE" else frozenset()
-        keep = {x, y} | dag.ancestors(x) | dag.ancestors(y)
-        sub = Dag([n for n in dag.nodes if n in keep], [(p, c) for p, c in dag.edges if c in keep])
-        reader = _nde_reader(dag, x, y, meds, z) if meds else _ace_reader(dag, x, y, z)
-        dag._memo[key] = (sub, *reader)
-    return dag._memo[key]
-
-
 def refute(
     bn: DiscreteBayesNet,
     data: EventMatrix,
@@ -390,8 +388,8 @@ def refute(
     column appended) and count one draw of the ids ``id + n_patterns *
     coin``.  No row is sorted.  All kinds share one refit: the CPTs of the
     ancestral closure of treatment and outcome are counted for every draw
-    at once (``bayesnet._fit_p1``), one elimination with a leading draw
-    axis gives the estimand's table per draw, and the refuted value is the
+    at once (``bayesnet._fit_p1``), one elimination over the estimate's
+    plan gives the estimand's table per draw, and the refuted value is the
     mean estimate over the draws.  The result is the same as refitting the
     whole network per draw on the perturbed matrix.
 
@@ -438,12 +436,10 @@ def refute(
         counts = np.bincount(ids + n_patterns * coin, minlength=2 * n_patterns)[None]
 
     _require_fittable(patterns, ess)
-    sub, order, read = _refit_plan(dag, x, y, estimate.estimand_kind)
-    sub_patterns = patterns[:, [columns.index(n) for n in sub.nodes]]
-    p1 = _fit_p1(sub, sub_patterns, counts, ess)
+    _, _, sub, order, read = _plan(dag, x, y, direct=estimate.estimand_kind == "NDE")
+    p1 = _fit_p1(sub, patterns[:, [columns.index(n) for n in sub.nodes]], counts, ess)
     tables = {n: _conditional_table(p1[n], len(sub.parents(n))) for n in sub.nodes}
-    t = marginal(sub, tables, order, draws=True)
-    refuted = float(np.mean(read(t)))
+    refuted = float(np.mean(read(marginal(sub, tables, order))))
     return RefutationResult(kind, refuted, abs(refuted - center) <= tol, tol)
 
 
@@ -464,7 +460,7 @@ def effects_for_dag(
         raise ValueError(f"refutations must be one of {REFUTATION_MODES}")
     rows = []
     for x, y in bn.dag.sorted_edges():
-        estimate = _estimate_edge(bn, x, y)
+        estimate = _estimate(bn, x, y, direct=True)
         total = estimate.value if estimate.estimand_kind == "ACE" else ace(bn, x, y).value
         refs: tuple[RefutationResult, ...] = ()
         if refutations == "all":

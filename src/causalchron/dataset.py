@@ -115,7 +115,6 @@ class EventMatrix:
 
     columns: tuple[str, ...]
     values: np.ndarray
-    provenance: str = ""
     delimiter: str = ","
 
     def __post_init__(self) -> None:
@@ -173,13 +172,8 @@ class EventMatrix:
             a.flags.writeable = False
         return patterns
 
-    def replace_values(self, values: np.ndarray, provenance: str | None = None) -> "EventMatrix":
-        return EventMatrix(
-            self.columns,
-            values,
-            self.provenance if provenance is None else provenance,
-            self.delimiter,
-        )
+    def replace_values(self, values: np.ndarray) -> "EventMatrix":
+        return EventMatrix(self.columns, values, self.delimiter)
 
 
 @dataclass(frozen=True)
@@ -273,7 +267,7 @@ def load_reads(path: str | Path, schema: TokenSchema | None = None) -> EventMatr
                     f"column {columns[j]!r}"
                 ) from None
     ids = np.fromiter(map(pattern_of.__getitem__, data_lines), dtype=np.intp, count=len(data_lines))
-    return EventMatrix(tuple(columns), decoded[ids], provenance=str(path), delimiter=delimiter)
+    return EventMatrix(tuple(columns), decoded[ids], delimiter=delimiter)
 
 
 def save_reads(m: EventMatrix, path: str | Path) -> None:
@@ -401,9 +395,4 @@ def exclude_events(m: EventMatrix, names: Iterable[str]) -> EventMatrix:
         raise ValueError("cannot drop all columns: empty matrix")
     if len(keep) == m.n_cols:
         return m
-    return EventMatrix(
-        tuple(m.columns[j] for j in keep),
-        m.values[:, keep],
-        provenance=m.provenance,
-        delimiter=m.delimiter,
-    )
+    return EventMatrix(tuple(m.columns[j] for j in keep), m.values[:, keep], m.delimiter)

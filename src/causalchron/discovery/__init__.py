@@ -18,7 +18,7 @@ from .notears import (
     notears_learn,
     threshold_to_dag,
 )
-from . import notears, stability
+from . import hc, lingam, notears, pc, stability
 from .pc import PcResult, pc_learn
 from .stability import StabilityReport, default_lambda_grid, stability_select
 
@@ -47,9 +47,9 @@ __all__ = [
 #: the Dag off its result, the ranges the function checks); each function's
 #: signature is the only home of its defaults, its module the only home of its ranges
 _LEARNERS = {
-    "hc": (hc_learn, ("max_indegree", "restarts"), lambda dag: dag, {}),
-    "pc": (pc_learn, ("alpha",), attrgetter("dag"), {}),
-    "lingam": (lingam_learn, ("threshold",), lambda dag: dag, {}),
+    "hc": (hc_learn, ("max_indegree", "restarts"), lambda dag: dag, hc.PARAM_RANGES),
+    "pc": (pc_learn, ("alpha",), attrgetter("dag"), pc.PARAM_RANGES),
+    "lingam": (lingam_learn, ("threshold",), lambda dag: dag, lingam.PARAM_RANGES),
     "notears": (notears_learn, ("lambda1", "omega", "standardize"), itemgetter(1), notears.PARAM_RANGES),
     "notears-stability": (
         stability_select,

@@ -16,6 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .._coerce import check_ranges
 from ..bayesnet import (
     Dag,
     local_bic,  # noqa: F401  unused here; perfbench/tracer.py patches hc.local_bic by name
@@ -25,6 +26,9 @@ from ..bayesnet import (
 from ..dataset import EventMatrix
 
 __all__ = ["hc_learn"]
+
+#: the allowed values of the parameters :func:`hc_learn` checks
+PARAM_RANGES = {"restarts": (lambda r: r >= 0, "non-negative")}
 
 _MIN_GAIN = 1e-12  # accepted moves must improve the score by more than this
 
@@ -176,6 +180,7 @@ def hc_learn(
     deterministic; ``restarts`` additional climbs from random sparse DAGs
     (seeded) keep the best-scoring result.
     """
+    check_ranges(PARAM_RANGES, {"restarts": restarts})
     if not data.is_complete:
         raise ValueError("hill climbing requires complete data")
     if data.n_cols < 2:

@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._coerce import check_ranges
 from ..bayesnet import Dag
 from ..dataset import EventMatrix
 
 __all__ = ["lingam_learn"]
+
+#: the allowed values of the parameters :func:`lingam_learn` checks
+PARAM_RANGES = {"threshold": (lambda t: t >= 0, "non-negative")}
 
 # maximum-entropy approximation constants for the differential entropy of a
 # standardized variable (Hyvarinen's negentropy approximation)
@@ -103,6 +107,7 @@ def lingam_learn(data: EventMatrix, threshold: float = 0.1) -> Dag:
     kept when the standardized coefficient exceeds ``threshold`` in absolute
     value.  Constant columns are treated as exogenous with no incident edges.
     """
+    check_ranges(PARAM_RANGES, {"threshold": threshold})
     if not data.is_complete:
         raise ValueError("lingam requires complete data")
     x = data.values.astype(np.float64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .._coerce import check_ranges
 from ..bayesnet import Dag, reachable
 from ..dataset import EventMatrix
 from .citests import (
@@ -25,6 +26,9 @@ from .citests import (
 )
 
 __all__ = ["PcResult", "pc_learn"]
+
+#: the allowed values of the parameters :func:`pc_learn` checks
+PARAM_RANGES = {"alpha": (lambda a: 0 <= a <= 1, "in [0, 1]")}
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,7 @@ def pc_learn(data: EventMatrix, alpha: float = 0.05) -> PcResult:
     rules could orient are directed along the column order (never creating
     a cycle or a new v-structure) and flagged as order-forced.
     """
+    check_ranges(PARAM_RANGES, {"alpha": alpha})
     if not data.is_complete:
         raise ValueError("pc requires complete data")
     if data.n_cols < 2:

@@ -48,25 +48,14 @@ class ImputationResult:
 
 def _column_modes(values: np.ndarray) -> np.ndarray:
     """Majority observed value per column; ties resolve to 0."""
-    d = values.shape[1]
-    modes = np.zeros(d, dtype=np.int8)
-    for j in range(d):
-        col = values[:, j]
-        observed = col[col != MISSING]
-        if observed.size == 0:
-            raise ValueError(f"column {j} is fully missing; cannot impute")
-        ones = int((observed == 1).sum())
-        modes[j] = 1 if ones * 2 > observed.size else 0
-    return modes
+    observed = (values != MISSING).sum(axis=0)
+    if not observed.all():
+        raise ValueError(f"column {np.argmin(observed)} is fully missing; cannot impute")
+    return (2 * (values == 1).sum(axis=0) > observed).astype(np.int8)
 
 
 def _mode_impute(values: np.ndarray) -> np.ndarray:
-    modes = _column_modes(values)
-    out = values.copy()
-    for j in range(values.shape[1]):
-        miss = out[:, j] == MISSING
-        out[miss, j] = modes[j]
-    return out
+    return np.where(values == MISSING, _column_modes(values), values)
 
 
 # Size budget of one (target patterns x kept pool rows) float64 key

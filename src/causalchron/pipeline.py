@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -131,7 +132,10 @@ _SITE_PRESETS = {
 def preset_network(name: str, seed: int = 0) -> DiscreteBayesNet:
     """Named generating networks for synthetic scenarios."""
     if name.startswith("chain"):
-        d = int(name.split("-")[1]) if "-" in name else 5
+        match = re.fullmatch(r"chain(?:-([0-9]+))?", name)
+        if not match:
+            raise ValueError("chain preset reads chain[-<d>], e.g. chain or chain-4")
+        d = int(match[1] or 5)
         if d < 2:
             raise ValueError("chain preset needs at least 2 nodes")
         labels = _labels(d)
@@ -206,9 +210,7 @@ def simulate(spec: ScenarioSpec) -> tuple[EventMatrix, dict]:
         starts = rng.integers(0, d, size=n)
         cols = np.arange(d)
         values[(cols >= starts[:, None]) & (cols < (starts + lengths)[:, None])] = -1
-    matrix = EventMatrix(
-        complete.columns, values, provenance=f"simulate({spec.preset}, seed={spec.seed})"
-    )
+    matrix = EventMatrix(complete.columns, values)
     truth = {
         "preset": spec.preset,
         "seed": spec.seed,

@@ -28,11 +28,7 @@ def table2_matrix() -> EventMatrix:
         + [(1, 0)] * 39
         + [(1, 1)] * 304
     )
-    return EventMatrix(
-        ("ndhD_116494", "ndhD_116785"),
-        np.array(rows, dtype=np.int8),
-        provenance="table2-fixture",
-    )
+    return EventMatrix(("ndhD_116494", "ndhD_116785"), np.array(rows, dtype=np.int8))
 
 
 @pytest.fixture
@@ -52,7 +48,7 @@ def cooccurrence_matrix() -> EventMatrix:
     block(26, ("ndhD_116290", "ndhD_116494"))
     block(262, ("ndhD_116290", "ndhD_116494", "ndhD_116785"))
     block(40, ())  # target absent; must not contribute
-    return EventMatrix(NDHD_SITES, np.array(rows, dtype=np.int8), provenance="cooc-fixture")
+    return EventMatrix(NDHD_SITES, np.array(rows, dtype=np.int8))
 
 
 @pytest.fixture

@@ -33,7 +33,8 @@ from causalchron.causal import (
     nde,
     refute,
 )
-from causalchron.causal import _ace_reader, _nde_reader, _refit_plan
+from causalchron import causal
+from causalchron.causal import _ace_reader, _nde_reader, _plan
 from causalchron.dataset import EventMatrix
 
 from conftest import random_network
@@ -355,6 +356,34 @@ class TestEffectsForDag:
         assert back.rows == table.rows
 
 
+    def test_one_reader_per_edge_and_estimand(self, monkeypatch):
+        # an estimate is the one-draw case of a refit through one plan per
+        # (edge, estimand) of the fitted graph; only the random common cause
+        # refits, whose graph is new per call, build their own
+        built = []
+        for name, kind in (("_ace_reader", "ACE"), ("_nde_reader", "NDE")):
+            def wrapped(dag, x, y, *sets, _reader=getattr(causal, name), _kind=kind):
+                built.append((dag, x, y, _kind))
+                return _reader(dag, x, y, *sets)
+
+            monkeypatch.setattr(causal, name, wrapped)
+        data = TestPositivity.data(lambda z, coin: coin)
+        bn = fit_cpts(Dag(data.columns, TestPositivity.DAG.edges), data)  # no plans kept yet
+        edges = bn.dag.sorted_edges()
+        mediated = [(x, y) for x, y in edges if mediators(bn.dag, x, y)]
+        assert mediated and len(mediated) < len(edges)
+        effects_for_dag(bn, data, refutations="all", seed=1)
+        for _ in range(3):
+            for x, y in edges:
+                ace(bn, x, y)
+            for x, y in mediated:
+                nde(bn, x, y)
+        on_bn = sorted((x, y, kind) for dag, x, y, kind in built if dag is bn.dag)
+        assert on_bn == sorted([(x, y, "ACE") for x, y in edges] + [(x, y, "NDE") for x, y in mediated])
+        others = [dag for dag, *_ in built if dag is not bn.dag]
+        assert len(others) == len(edges) == len({id(dag) for dag in others})
+
+
 def reference_refute(bn, data, estimate, kind, seed, ess):
     """(refuted value, passed, tolerance) from refits of every CPT of the whole
     network on a perturbed matrix, drawing the same random stream as refute()."""
@@ -481,17 +510,19 @@ class TestRefutations:
         patterns, ids, _ = data.row_patterns
         counts = np.stack([np.bincount(ids[r], minlength=len(patterns)) for r in rows])
         for x, y in truth.dag.sorted_edges():
-            kind = "NDE" if mediators(truth.dag, x, y) else "ACE"
-            sub, order, _ = _refit_plan(truth.dag, x, y, kind)
+            _, _, sub, order, _ = _plan(truth.dag, x, y, direct=True)
             values = patterns[:, [data.column_index(v) for v in sub.nodes]]
             p1 = _fit_p1(sub, values, counts, ess)
             tables = {v: _conditional_table(p1[v], len(sub.parents(v))) for v in sub.nodes}
-            batched = marginal(sub, tables, order, draws=True)
+            batched = marginal(sub, tables, order)
             per_draw = np.stack(
                 [fit_cpts(sub, data.replace_values(data.values[r]), ess=ess).marginal(order) for r in rows]
             )
             assert batched.shape == per_draw.shape
             assert np.array_equal(batched, per_draw)
+            # the one-table marginal is slice 0 of the batched one on the same tables
+            one = DiscreteBayesNet(sub, tuple(Cpt(v, sub.parents(v), p1[v][0]) for v in sub.nodes))
+            assert one.marginal(order).tobytes() == batched[0].tobytes()
 
     def test_wide_subset_counts_patterns_not_the_joint(self):
         # a 70-node chain closed by x0 -> x69: the sub-DAG of the last edge holds

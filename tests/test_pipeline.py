@@ -55,6 +55,10 @@ class TestPresets:
         "name, match",
         [
             ("chain-1", "at least 2 nodes"),
+            ("chainsaw", r"reads chain\[-<d>\]"),
+            ("chain5", r"reads chain\[-<d>\]"),
+            ("chain-x", r"reads chain\[-<d>\]"),
+            ("chain-", r"reads chain\[-<d>\]"),
             ("random-1-0.5", "at least 2 nodes"),
             ("random-0-0.5", "at least 2 nodes"),
             ("random-4-1.5", r"edge_prob in \[0, 1\]"),
@@ -274,6 +278,10 @@ class TestRunPipeline:
             ("notears-stability", "lambda_grid", (0.5, 0.1)),
             ("notears-stability", "n_resamples", 0),
             ("notears", "lambda1", -1.0),
+            ("pc", "alpha", -1.0),
+            ("pc", "alpha", 7),
+            ("lingam", "threshold", -1.0),
+            ("hc", "restarts", -3),
         ]:
             with pytest.raises(ValueError, match=f"learner '{learner}' parameter '{key}' must be"):
                 PipelineConfig(scenario=SMALL_SCENARIO, learner_params={learner: {key: value}})
