@@ -17,6 +17,7 @@ lexicographically, and sampling takes an explicit seed.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,26 +141,26 @@ class Dag:
         idx = self._index
         return sorted(self.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
 
-    def topological_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm; ready nodes are taken in declared order."""
-        indeg = {n: 0 for n in self.nodes}
-        for _, c in self.edges:
-            indeg[c] += 1
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
+        """Kahn's algorithm over a heap of declared indices: the ready node declared first goes first."""
+        indeg = {n: len(ps) for n, ps in self._parents.items()}
+        ready = [i for i, n in enumerate(self.nodes) if not indeg[n]]
         order: list[str] = []
-        ready = [n for n in self.nodes if indeg[n] == 0]
         while ready:
-            node = ready.pop(0)
+            node = self.nodes[heapq.heappop(ready)]
             order.append(node)
-            newly = []
             for child in self._children[node]:
                 indeg[child] -= 1
-                if indeg[child] == 0:
-                    newly.append(child)
-            if newly:
-                ready = sorted(ready + newly, key=self._index.__getitem__)
+                if not indeg[child]:
+                    heapq.heappush(ready, self._index[child])
         if len(order) != len(self.nodes):
             raise ValueError("graph contains a directed cycle")
         return tuple(order)
+
+    def topological_order(self) -> tuple[str, ...]:
+        """The nodes in topological order, ties by declared order; computed once, at construction."""
+        return self._order
 
     def descendants(self, node: str) -> frozenset[str]:
         return frozenset(reachable(self._children[node], self._children.__getitem__))
@@ -483,10 +484,10 @@ def _require_fittable(values: np.ndarray, ess: float) -> None:
         raise ValueError("ess must be non-negative")
 
 
-def _fit_p1(g: Dag, patterns: np.ndarray, counts: np.ndarray, ess: float) -> dict[str, np.ndarray]:
-    """P(node=1 | parents) of every node of ``g``, fitted on each draw's pattern counts.
+def _fit_p1(g: Dag, nodes: Sequence[str], patterns: np.ndarray, counts: np.ndarray, ess: float) -> dict[str, np.ndarray]:
+    """P(node=1 | parents in ``g``) of each of ``nodes``, closed under parents, per draw's pattern counts.
 
-    ``patterns`` holds complete rows over the columns of ``g.nodes`` in
+    ``patterns`` holds complete rows over the columns of ``nodes`` in
     that order (a pattern may repeat; its counts add up), and ``counts``
     one row of pattern counts per draw, shape (D, n_patterns).  Each
     node's (parents, node) counts are summed from the pattern counts of
@@ -496,12 +497,13 @@ def _fit_p1(g: Dag, patterns: np.ndarray, counts: np.ndarray, ess: float) -> dic
     order: P(node=1 | assignment) = (count1 + ess/2) / (count + ess), and
     an assignment with zero denominator (ess=0, never observed) gets 0.5.
     """
+    column = {n: i for i, n in enumerate(nodes)}
     draw = np.arange(len(counts))[:, None]
     weights = counts.astype(np.float64).ravel()
     p1 = {}
-    for n in g.nodes:
+    for n in nodes:
         cells = 2 << len(g.parents(n))
-        local = assignment_index(patterns, [g._index[v] for v in (*g.parents(n), n)])
+        local = assignment_index(patterns, [column[v] for v in (*g.parents(n), n)])
         joint = np.bincount((draw * cells + local).ravel(), weights, minlength=len(counts) * cells)
         joint = joint.reshape(len(counts), -1, 2)
         denom = joint.sum(axis=-1) + ess
@@ -523,7 +525,7 @@ def fit_cpts(g: Dag, data: EventMatrix, ess: float = 1.0) -> DiscreteBayesNet:
     missing_nodes = set(g.nodes) - set(data.columns)
     if missing_nodes:
         raise KeyError(f"nodes absent from data: {sorted(missing_nodes)}")
-    p1 = _fit_p1(g, rows[:, [data.column_index(n) for n in g.nodes]], weights[None], ess)
+    p1 = _fit_p1(g, g.nodes, rows[:, [data.column_index(n) for n in g.nodes]], weights[None], ess)
     return DiscreteBayesNet(g, tuple(Cpt(n, g.parents(n), p1[n][0]) for n in g.nodes))
 
 

@@ -25,7 +25,6 @@ from .bayesnet import (
     _conditional_table,
     _fit_p1,
     _require_fittable,
-    d_separated,
     fit_cpts,  # noqa: F401  unused here; perfbench/tracer.py patches causal.fit_cpts by name
     marginal,
     query,
@@ -89,26 +88,17 @@ class EffectEstimate:
 def backdoor_set(g: Dag, x: str, y: str) -> frozenset[str]:
     """Adjustment set for the effect of x on y: the parents of x.
 
-    The backdoor criterion is verified, not assumed: no member may be a
-    descendant of x, and conditioning on the set must d-separate x from y
-    once x's outgoing edges are removed.  Failure indicates a bug and is a
-    hard error.  The set is a pure function of the immutable ``g``, so it
-    is kept with the instance: the estimates and refits of an edge verify
-    it once.
+    Adjustment for the direct causes of x (Pearl, *Causality*, 2009, Thm
+    3.2.2) is valid in every DAG whose outcome is not one of them: no
+    parent of x descends from x, and the parents block every backdoor
+    path.  When y is a parent of x, the effect of x on y is zero and
+    :func:`ace_surgery` gives it.
     """
     if x == y:
         raise ValueError("treatment and outcome must differ")
-    key = ("backdoor_set", x, y)
-    if key in g._memo:
-        return g._memo[key]
     z = frozenset(g.parents(x))
-    desc = g.descendants(x)
-    if z & desc:
-        raise AssertionError(f"backdoor set for {x!r} contains descendants: {sorted(z & desc)}")
-    surgered = g.with_edges(remove=[(x, c) for c in g.children(x)])
-    if y not in z and not d_separated(surgered, x, y, z):
-        raise AssertionError(f"parents({x!r}) fail the backdoor criterion toward {y!r}")
-    g._memo[key] = z
+    if y in z:
+        raise ValueError(f"outcome {y!r} is a parent of treatment {x!r}; its effect is zero: use ace_surgery()")
     return z
 
 
@@ -119,7 +109,7 @@ def mediators(g: Dag, x: str, y: str) -> frozenset[str]:
 
 
 def ace(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
-    """Average causal effect by exact backdoor adjustment on the verified backdoor set."""
+    """Average causal effect by exact backdoor adjustment on the parents of x."""
     return _estimate(bn, x, y, direct=False)
 
 
@@ -215,34 +205,33 @@ def nde(bn: DiscreteBayesNet, x: str, y: str) -> EffectEstimate:
 
 
 def _plan(dag: Dag, x: str, y: str, direct: bool) -> tuple:
-    """The backdoor set, the mediators, the sub-DAG and the reader of the estimand of x on y.
+    """The backdoor set, the mediators, the closure's nodes and the reader of the estimand of x on y.
 
     The estimand is the natural direct effect when ``direct`` is set and
     x reaches y through mediators, else the average effect (no
     mediators).  An estimate reads one draw of tables through the plan, a
-    refit D draws.  The sub-DAG is the ancestral closure of {x, y}, which
+    refit D draws.  The closure is the ancestral closure of {x, y}, which
     holds the backdoor set and the mediators, with the nodes in ``dag``'s
-    order: every other node is barren in the estimand's marginal, so
-    tables fitted on the sub-DAG give the estimate of tables fitted on
-    ``dag``, bit for bit.  The plan is a pure function of the immutable
-    ``dag``, so it is kept with the instance, keyed by the estimand: the
-    estimate and the refits of an edge share one.
+    order: the estimand's marginal on ``dag`` reads the tables of these
+    nodes only, so they are the only ones to fit.  The plan is a pure
+    function of the immutable ``dag``, so it is kept with the instance,
+    keyed by the estimand: the estimate and the refits of an edge share
+    one.
     """
     meds = mediators(dag, x, y) if direct else frozenset()
     key = ("plan", x, y, bool(meds))
     if key not in dag._memo:
         z = backdoor_set(dag, x, y)
         keep = {x, y} | dag.ancestors(x) | dag.ancestors(y)
-        sub = Dag([n for n in dag.nodes if n in keep], [(p, c) for p, c in dag.edges if c in keep])
         reader = _nde_reader(dag, x, y, meds, z) if meds else _ace_reader(dag, x, y, z)
-        dag._memo[key] = (z, meds, sub, *reader)
+        dag._memo[key] = (z, meds, tuple(n for n in dag.nodes if n in keep), *reader)
     return dag._memo[key]
 
 
 def _estimate(bn: DiscreteBayesNet, x: str, y: str, direct: bool) -> EffectEstimate:
     """The estimand of :func:`_plan` on the fitted tables: the one-draw case of a refit."""
-    z, meds, sub, order, read = _plan(bn.dag, x, y, direct)
-    value = read(marginal(sub, {n: bn.cpt(n).table[None] for n in sub.nodes}, order))[0]
+    z, meds, closure, order, read = _plan(bn.dag, x, y, direct)
+    value = read(marginal(bn.dag, {n: bn.cpt(n).table[None] for n in closure}, order))[0]
     return EffectEstimate(x, y, "NDE" if meds else "ACE", value, z, meds)
 
 
@@ -436,10 +425,10 @@ def refute(
         counts = np.bincount(ids + n_patterns * coin, minlength=2 * n_patterns)[None]
 
     _require_fittable(patterns, ess)
-    _, _, sub, order, read = _plan(dag, x, y, direct=estimate.estimand_kind == "NDE")
-    p1 = _fit_p1(sub, patterns[:, [columns.index(n) for n in sub.nodes]], counts, ess)
-    tables = {n: _conditional_table(p1[n], len(sub.parents(n))) for n in sub.nodes}
-    refuted = float(np.mean(read(marginal(sub, tables, order))))
+    _, _, closure, order, read = _plan(dag, x, y, direct=estimate.estimand_kind == "NDE")
+    p1 = _fit_p1(dag, closure, patterns[:, [columns.index(n) for n in closure]], counts, ess)
+    tables = {n: _conditional_table(p1[n], len(dag.parents(n))) for n in closure}
+    refuted = float(np.mean(read(marginal(dag, tables, order))))
     return RefutationResult(kind, refuted, abs(refuted - center) <= tol, tol)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._coerce import check_ranges
 from ._rng import spawn_seed
 from .bayesnet import (
     CiStatement,
@@ -31,6 +32,7 @@ from .bayesnet import (
 )
 from .causal import CausalRelationTable, RelationRow
 from .dataset import ContingencyTable, EventMatrix, contingency, distinct_rows
+from .discovery import pc
 from .discovery.citests import (
     ci_test_g2,  # noqa: F401  unused here; perfbench/tracer.py patches chronology.ci_test_g2 by name
     fisher_exact,
@@ -67,9 +69,10 @@ class ChronologyTree:
             indeg[c] = indeg.get(c, 0) + 1
             if indeg[c] > 1:
                 raise ValueError(f"node {c!r} has more than one incoming edge")
-        nodes = set(self.levels)
-        Dag(tuple(sorted(nodes)), self.edges)  # raises on cycles
         for p, c in self.edges:
+            if p not in self.levels or c not in self.levels:
+                raise ValueError(f"edge ({p!r}, {c!r}) references unknown node")
+            # levels rising strictly along every edge rule out a cycle
             if self.levels[c] <= self.levels[p]:
                 raise ValueError(f"levels inconsistent along edge ({p!r}, {c!r})")
         for n in self.isolated:
@@ -206,6 +209,7 @@ def deterministic_chronology(
     If the pairwise orientations ever form a cycle, the cycle edge with
     the smallest |n10 - n01| margin is dropped with a loud warning.
     """
+    check_ranges(pc.PARAM_RANGES, {"alpha": alpha})
     if m.n_cols < 2:
         raise ValueError("need at least 2 columns")
     if correction not in ("bh", "bonferroni"):
@@ -418,6 +422,8 @@ def falsify(
     """
     if n_perm < 0:
         raise ValueError("n_perm must be non-negative")
+    level = pc.PARAM_RANGES["alpha"]
+    check_ranges({"alpha_ci": level, "alpha_f": level}, {"alpha_ci": alpha_ci, "alpha_f": alpha_f})
     statements = local_markov_statements(g)
     rng = np.random.default_rng(spawn_seed(seed, "falsify"))
     d = len(g.nodes)

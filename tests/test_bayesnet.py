@@ -169,6 +169,34 @@ class TestGraphWalks:
                 Dag(nodes, edges)
 
 
+def resorting_kahn(g):
+    """Kahn's algorithm with a ready list re-sorted by declared index at every step."""
+    indeg = {n: len(g.parents(n)) for n in g.nodes}
+    ready = [n for n in g.nodes if not indeg[n]]
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        newly = []
+        for child in g.children(node):
+            indeg[child] -= 1
+            if not indeg[child]:
+                newly.append(child)
+        if newly:
+            ready = sorted(ready + newly, key=g.nodes.index)
+    return tuple(order)
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(acyclic=True))
+    def test_heap_order_equals_the_resorting_reference(self, graph):
+        g = Dag(*graph)
+        assert g.topological_order() == resorting_kahn(g)
+        # ordered once, at construction
+        assert g.topological_order() is g.topological_order()
+
+
 class TestTopologicalLevels:
     def test_chain(self):
         g = Dag(("A", "B", "C"), [("A", "B"), ("B", "C")])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -14,6 +15,7 @@ from causalchron.bayesnet import (
     ZeroProbabilityEvidence,
     _conditional_table,
     _fit_p1,
+    d_separated,
     fit_cpts,
     marginal,
     sample,
@@ -36,6 +38,7 @@ from causalchron.causal import (
 from causalchron import causal
 from causalchron.causal import _ace_reader, _nde_reader, _plan
 from causalchron.dataset import EventMatrix
+from causalchron.pipeline import preset_network
 
 from conftest import random_network
 
@@ -95,6 +98,30 @@ class TestBackdoorSet:
     def test_upstream_parent_valid(self):
         g = Dag(("w", "x", "y"), [("w", "x"), ("x", "y")])
         assert backdoor_set(g, "x", "y") == frozenset({"w"})
+
+    def test_outcome_a_parent_of_the_treatment_raises(self):
+        # x1 -> x2 -> x3: x2 cannot move its parent x1, and adjusting for x1
+        # would condition on the outcome itself
+        bn = preset_network("chain-3")
+        with pytest.raises(ValueError, match="'x1' is a parent of treatment 'x2'.*ace_surgery"):
+            backdoor_set(bn.dag, "x2", "x1")
+        with pytest.raises(ValueError, match="ace_surgery"):
+            ace(bn, "x2", "x1")
+        assert ace_surgery(bn, "x2", "x1") == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+    def test_parents_meet_the_backdoor_criterion(self, net_seed, d):
+        # Pearl's adjustment for direct causes: no parent of x descends from
+        # x, and the parents d-separate x from y once x's out-edges are cut
+        g = random_network(np.random.default_rng(net_seed), d).dag
+        for x, y in itertools.permutations(g.nodes, 2):
+            if y in g.parents(x):
+                continue
+            z = backdoor_set(g, x, y)
+            assert z == frozenset(g.parents(x))
+            assert not z & g.descendants(x)
+            assert d_separated(g.with_edges(remove=[(x, c) for c in g.children(x)]), x, y, z)
 
 
 class TestAce:
@@ -333,6 +360,28 @@ class TestEffectsForDag:
         values = [r.value for r in table.rows]
         assert values == sorted(values, reverse=True)
 
+    def test_only_the_random_common_cause_builds_a_graph(self, monkeypatch):
+        # estimates and refits read the fitted network's own graph; the one new
+        # graph per edge is the random-common-cause refutation's
+        bn = net(
+            ("z", "x", "m", "y"),
+            [("z", "x"), ("z", "y"), ("x", "m"), ("m", "y"), ("x", "y")],
+            {"z": [0.5], "x": [0.3, 0.7], "m": [0.2, 0.8], "y": [0.1, 0.4, 0.3, 0.6, 0.5, 0.7, 0.6, 0.9]},
+        )
+        data = sample(bn, 800, seed=9)
+        refit = fit_cpts(bn.dag, data)
+        built = []
+        init = Dag.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.nodes)
+
+        monkeypatch.setattr(Dag, "__init__", counted)
+        table = effects_for_dag(refit, data, refutations="all")
+        assert any(r.mediators for r in table.rows)
+        assert built == [(*bn.dag.nodes, "__random_common_cause__")] * len(bn.dag.edges)
+
     def test_nie_decomposition(self, mediated):
         data = sample(mediated, 3000, seed=5)
         bn = fit_cpts(mediated.dag, data)
@@ -510,9 +559,10 @@ class TestRefutations:
         patterns, ids, _ = data.row_patterns
         counts = np.stack([np.bincount(ids[r], minlength=len(patterns)) for r in rows])
         for x, y in truth.dag.sorted_edges():
-            _, _, sub, order, _ = _plan(truth.dag, x, y, direct=True)
+            _, _, closure, order, _ = _plan(truth.dag, x, y, direct=True)
+            sub = Dag(closure, [(p, c) for p, c in truth.dag.edges if c in closure])
             values = patterns[:, [data.column_index(v) for v in sub.nodes]]
-            p1 = _fit_p1(sub, values, counts, ess)
+            p1 = _fit_p1(sub, sub.nodes, values, counts, ess)
             tables = {v: _conditional_table(p1[v], len(sub.parents(v))) for v in sub.nodes}
             batched = marginal(sub, tables, order)
             per_draw = np.stack(

@@ -129,6 +129,12 @@ class TestChronologyTreeInvariants:
                 isolated=(),
             )
 
+    def test_rejects_edges_off_the_levels(self):
+        with pytest.raises(ValueError, match="unknown node"):
+            ChronologyTree(levels={"a": 0}, edges=frozenset({("a", "b")}), isolated=())
+        with pytest.raises(ValueError, match="levels inconsistent"):
+            ChronologyTree(levels={"a": 0, "b": 1}, edges=frozenset({("a", "b"), ("b", "a")}), isolated=())
+
     def test_fuzzed_construction_always_satisfies_invariants(self):
         rng = np.random.default_rng(0)
         labels = tuple("abcdefg")

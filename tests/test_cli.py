@@ -160,6 +160,13 @@ class TestBaselineCommand:
         doc = json.loads((out / "baseline.json").read_text())
         assert doc["edges"] == [["ndhD_116785", "ndhD_116494"]]
 
+    @pytest.mark.parametrize("alpha", ["2", "-1", "nan"])
+    def test_alpha_outside_the_unit_interval_exit_1(self, chain_data, tmp_path, capsys, alpha):
+        out = tmp_path / "base"
+        assert main(["baseline", "--data", str(chain_data), "--alpha", alpha, "--out", str(out)]) == 1
+        assert "'alpha' must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_scores_to_stdout(self, chain_data, tmp_path, capsys):
@@ -220,6 +227,18 @@ class TestFalsifyCommand:
         code = main(["falsify", "--dag", str(dag_path), "--data", str(chain_data), "--perms", "-1"])
         assert code == 1
         assert "n_perm must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha-f", "-1"), ("--alpha-f", "nan"), ("--alpha-ci", "2"), ("--alpha-ci", "-1")]
+    )
+    def test_level_outside_the_unit_interval_exit_1(self, chain_data, tmp_path, capsys, flag, value):
+        dag_path = tmp_path / "dag.edges"
+        write_dag(Dag(("x1", "x2", "x3", "x4"), [("x1", "x2"), ("x2", "x3"), ("x3", "x4")]), dag_path)
+        out = tmp_path / "verdict.json"
+        code = main(["falsify", "--dag", str(dag_path), "--data", str(chain_data), flag, value, "--out", str(out)])
+        assert code == 1
+        assert f"'{flag[2:].replace('-', '_')}' must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineCommand:
