@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 import typing
 from typing import Any, Callable, Mapping
 
@@ -41,6 +42,11 @@ def coerce(hint: object, value: object, what: str) -> object:
     elif isinstance(hint, type) and hint not in (int, float) and isinstance(value, hint):
         return value
     raise ValueError(f"{what} must be {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
+
+
+def declared_ranges(fn: Callable) -> Mapping[str, tuple[Callable[[Any], bool], str]]:
+    """The ``PARAM_RANGES`` table of the module ``fn`` is defined in: the one home of its parameters' ranges."""
+    return sys.modules[fn.__module__].PARAM_RANGES
 
 
 def check_ranges(

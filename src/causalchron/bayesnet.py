@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from ._coerce import check_ranges
 from .dataset import MISSING, EventMatrix, assignment_index, stacked_counts
 
 __all__ = [
@@ -51,6 +53,9 @@ __all__ = [
 
 #: probability floor replacing exact zeros in log-likelihood sums
 DEFAULT_LL_FLOOR = 1e-9
+
+#: the allowed values of the parameters :func:`fit_cpts` checks
+PARAM_RANGES = {"ess": (lambda e: math.isfinite(e) and e >= 0, "a finite number >= 0")}
 
 
 class ZeroProbabilityEvidence(ValueError):
@@ -270,7 +275,7 @@ class Cpt:
         p1 = np.asarray(self.p1, dtype=np.float64)
         if p1.shape != (2 ** len(self.parents),):
             raise ValueError(f"CPT for {self.node!r} must have 2^|parents| entries")
-        if ((p1 < 0) | (p1 > 1)).any():
+        if not ((p1 >= 0) & (p1 <= 1)).all():  # NaN too
             raise ValueError(f"CPT for {self.node!r} has probabilities outside [0, 1]")
         p1 = p1.copy()
         p1.flags.writeable = False
@@ -480,8 +485,7 @@ def _require_complete(values: np.ndarray) -> None:
 def _require_fittable(values: np.ndarray, ess: float) -> None:
     """The checks of :func:`fit_cpts` on the matrix it would read and the prior strength."""
     _require_complete(values)
-    if ess < 0:
-        raise ValueError("ess must be non-negative")
+    check_ranges(PARAM_RANGES, locals())
 
 
 def _fit_p1(g: Dag, nodes: Sequence[str], patterns: np.ndarray, counts: np.ndarray, ess: float) -> dict[str, np.ndarray]:
@@ -689,5 +693,12 @@ def write_dag(g: Dag, path: str | Path) -> None:
     Path(path).write_text(g.to_edge_list(), encoding="utf-8")
 
 
-def read_dag(path: str | Path) -> Dag:
-    return Dag.from_edge_list(Path(path).read_text(encoding="utf-8"))
+def read_dag(path: str | Path, nodes: Sequence[str] | None = None) -> Dag:
+    """The DAG an edge-list file holds; given ``nodes``, a matrix's columns, over those in their order.
+
+    Node order sets elimination order, tie order and adjustment-set order, so
+    a graph read for a matrix takes the matrix's column order, as the
+    pipeline's own graphs do.
+    """
+    dag = Dag.from_edge_list(Path(path).read_text(encoding="utf-8"))
+    return dag if nodes is None else Dag(nodes, dag.edges)

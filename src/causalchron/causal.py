@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._coerce import check_ranges
 from ._rng import spawn_seed
 from .bayesnet import (
     Cpt,
@@ -49,6 +50,9 @@ __all__ = [
 REFUTATION_KINDS = ("placebo", "subset", "random_common_cause")
 #: ``effects_for_dag`` runs every refutation kind per edge, or none
 REFUTATION_MODES = ("all", "none")
+
+#: the allowed values of the parameters :func:`effects_for_dag` checks
+PARAM_RANGES = {"refutations": (lambda r: r in REFUTATION_MODES, f"one of {REFUTATION_MODES}")}
 
 #: |refuted value| (placebo) or |refuted - value| (common cause) must stay within this
 ABS_TOLERANCE = 0.05
@@ -445,8 +449,7 @@ def effects_for_dag(
     average effect; rows with a strictly positive value are marked
     validated.  Rows sort by descending value (ties by edge order).
     """
-    if refutations not in REFUTATION_MODES:
-        raise ValueError(f"refutations must be one of {REFUTATION_MODES}")
+    check_ranges(PARAM_RANGES, locals())
     rows = []
     for x, y in bn.dag.sorted_edges():
         estimate = _estimate(bn, x, y, direct=True)

@@ -50,9 +50,20 @@ __all__ = [
     "falsify",
     "consensus_edges",
     "ConsensusSummary",
+    "CORRECTIONS",
 ]
 
 GROUP_JOIN = "+"  # merged simultaneity groups read "a+b" in exports
+
+#: the multiple-testing corrections of :func:`deterministic_chronology`
+CORRECTIONS = ("bh", "bonferroni")
+
+#: the allowed values of the parameters :func:`deterministic_chronology` and :func:`falsify` check
+PARAM_RANGES = {
+    **dict.fromkeys(("alpha", "alpha_ci", "alpha_f"), pc.PARAM_RANGES["alpha"]),
+    "correction": (lambda c: c in CORRECTIONS, f"one of {CORRECTIONS}"),
+    "n_perm": (lambda n: n >= 0, "non-negative"),
+}
 
 
 @dataclass(frozen=True)
@@ -209,11 +220,9 @@ def deterministic_chronology(
     If the pairwise orientations ever form a cycle, the cycle edge with
     the smallest |n10 - n01| margin is dropped with a loud warning.
     """
-    check_ranges(pc.PARAM_RANGES, {"alpha": alpha})
+    check_ranges(PARAM_RANGES, locals())
     if m.n_cols < 2:
         raise ValueError("need at least 2 columns")
-    if correction not in ("bh", "bonferroni"):
-        raise ValueError("correction must be 'bh' or 'bonferroni'")
     labels = m.columns
     pairs: list[ContingencyTable] = []
     pvalues: list[float] = []
@@ -420,10 +429,7 @@ def falsify(
     conditioning set requires its own columns to be complete, so a missing
     cell in a column no such statement reads changes nothing.
     """
-    if n_perm < 0:
-        raise ValueError("n_perm must be non-negative")
-    level = pc.PARAM_RANGES["alpha"]
-    check_ranges({"alpha_ci": level, "alpha_f": level}, {"alpha_ci": alpha_ci, "alpha_f": alpha_f})
+    check_ranges(PARAM_RANGES, locals())
     statements = local_markov_statements(g)
     rng = np.random.default_rng(spawn_seed(seed, "falsify"))
     d = len(g.nodes)

@@ -2,8 +2,10 @@
 
 Subcommands mirror the pipeline stages: simulate, impute, discover,
 effects, chronology, baseline, compare, falsify, and pipeline.  Exit code
-0 means success, 1 a validation problem (bad arguments, unreadable or
-inconsistent inputs), 2 a failure inside a pipeline stage.
+0 means success, 1 a validation problem (a usage error, a value out of
+range, unreadable or inconsistent inputs), 2 a failure inside a pipeline
+stage.  A DAG file read with a data file is read onto the data's columns,
+in their order, as the pipeline reads its reference models.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 from .bayesnet import fit_cpts, read_dag, write_dag
 from .causal import REFUTATION_MODES, CausalRelationTable, effects_for_dag
 from .chronology import (
+    CORRECTIONS,
     build_chronology,
     compare_models,
     deterministic_chronology,
@@ -88,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("baseline", "deterministic frequency-based chronology")
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--correction", choices=["bh", "bonferroni"])
+    p.add_argument("--correction", choices=list(CORRECTIONS))
     p.add_argument("--out", required=True, help="output directory")
 
     p = command("compare", "score models on the data (BIC, log-likelihood)")
@@ -174,7 +177,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 def _cmd_effects(args: argparse.Namespace) -> int:
     matrix = load_reads(args.data)
-    dag = read_dag(args.dag)
+    dag = read_dag(args.dag, matrix.columns)
     bn = fit_cpts(dag, matrix, **_given(args, "ess"))
     table = effects_for_dag(bn, matrix, **_given(args, "refutations", "seed", "ess"))
     out = Path(args.out)
@@ -219,7 +222,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         name, _, path = item.partition("=")
         if not name or not path:
             raise ValueError(f"bad --model {item!r}; expected NAME=DAGFILE")
-        models.append((name, read_dag(path)))
+        models.append((name, read_dag(path, matrix.columns)))
     scores = compare_models(models, matrix, **_given(args, "ess"))
     text = scores_to_csv(scores)
     if args.out:
@@ -232,7 +235,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_falsify(args: argparse.Namespace) -> int:
     matrix = load_reads(args.data)
-    dag = read_dag(args.dag)
+    dag = read_dag(args.dag, matrix.columns)
     verdict = falsify(dag, matrix, **_given(args, "n_perm", "alpha_ci", "alpha_f", "seed"))
     text = verdict.to_json()
     if args.out:
@@ -266,8 +269,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except StageFailure as exc:

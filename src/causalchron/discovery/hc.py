@@ -170,8 +170,7 @@ def hc_learn(
     max_indegree: int | None = None,
     seed: int = 0,
     restarts: int = 0,
-    return_trace: bool = False,
-) -> Dag | tuple[Dag, list[float]]:
+) -> Dag:
     """Greedy best-improvement search over add/delete/reverse edge moves.
 
     Starts from the empty graph and climbs the decomposable BIC until no
@@ -180,22 +179,19 @@ def hc_learn(
     deterministic; ``restarts`` additional climbs from random sparse DAGs
     (seeded) keep the best-scoring result.
     """
-    check_ranges(PARAM_RANGES, {"restarts": restarts})
+    check_ranges(PARAM_RANGES, locals())
     if not data.is_complete:
         raise ValueError("hill climbing requires complete data")
     if data.n_cols < 2:
         raise ValueError("need at least 2 columns")
     state = _SearchState(data)
-    trace = _climb(state, max_indegree)
+    best_score = _climb(state, max_indegree)[-1]
     best_parents = dict(state.parents)
-    best_score = trace[-1]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         _random_start(state, rng, max_indegree)
-        t = _climb(state, max_indegree)
-        if t[-1] > best_score:
-            best_score = t[-1]
+        score = _climb(state, max_indegree)[-1]
+        if score > best_score:
+            best_score = score
             best_parents = dict(state.parents)
-            trace = t
-    dag = Dag(data.columns, [(p, c) for c in data.columns for p in best_parents[c]])
-    return (dag, trace) if return_trace else dag
+    return Dag(data.columns, [(p, c) for c in data.columns for p in best_parents[c]])

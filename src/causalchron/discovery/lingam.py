@@ -107,7 +107,7 @@ def lingam_learn(data: EventMatrix, threshold: float = 0.1) -> Dag:
     kept when the standardized coefficient exceeds ``threshold`` in absolute
     value.  Constant columns are treated as exogenous with no incident edges.
     """
-    check_ranges(PARAM_RANGES, {"threshold": threshold})
+    check_ranges(PARAM_RANGES, locals())
     if not data.is_complete:
         raise ValueError("lingam requires complete data")
     x = data.values.astype(np.float64)

@@ -325,7 +325,7 @@ def notears_learn(
     cap is reached first or an inner solve ends non-finite; converged runs
     always satisfy h <= H_TOL.
     """
-    check_ranges(PARAM_RANGES, {"lambda1": lambda1, "omega": omega})
+    check_ranges(PARAM_RANGES, locals())
     if not data.is_complete:
         raise ValueError("notears requires complete data")
     gram = gram_matrix(data.values, standardize)

@@ -113,7 +113,7 @@ def pc_learn(data: EventMatrix, alpha: float = 0.05) -> PcResult:
     rules could orient are directed along the column order (never creating
     a cycle or a new v-structure) and flagged as order-forced.
     """
-    check_ranges(PARAM_RANGES, {"alpha": alpha})
+    check_ranges(PARAM_RANGES, locals())
     if not data.is_complete:
         raise ValueError("pc requires complete data")
     if data.n_cols < 2:

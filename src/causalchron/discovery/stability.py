@@ -99,17 +99,7 @@ def stability_select(
     is the one :func:`notears_learn` gives on its subsample, and a cell
     whose fit raised :class:`NotearsConvergenceError` counts as a failure.
     """
-    check_ranges(
-        PARAM_RANGES,
-        {
-            "lambda_grid": lambda_grid,
-            "n_resamples": n_resamples,
-            "subsample_frac": subsample_frac,
-            "freq_threshold": freq_threshold,
-            "window": window,
-            "omega": omega,
-        },
-    )
+    check_ranges(PARAM_RANGES, locals())
     grid = tuple(lambda_grid) if lambda_grid is not None else default_lambda_grid()
     if not data.is_complete:
         raise ValueError("stability selection requires complete data")

@@ -10,11 +10,13 @@ Observed cells are never modified.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._coerce import check_ranges
 from .bayesnet import Dag, DiscreteBayesNet, fit_cpts
 from .dataset import MISSING, EventMatrix, assignment_index, distinct_rows
 
@@ -159,11 +161,17 @@ def _round_robin_impute(values: np.ndarray, k: int = 25, sweeps: int = 3) -> np.
 #: the single-pass fills ``initial_impute`` offers, by method name
 INITIAL_FILLS = {"mode": _mode_impute, "round_robin": _round_robin_impute}
 
+#: the allowed values of the parameters :func:`initial_impute` and :func:`em_impute` check
+PARAM_RANGES = {
+    "initial_method": (lambda m: m in INITIAL_FILLS, f"one of {tuple(INITIAL_FILLS)}"),
+    "max_iter": (lambda n: n >= 1, "at least 1"),
+    "tol": (lambda t: math.isfinite(t) and t >= 0, "a finite number >= 0"),
+}
+
 
 def initial_impute(m: EventMatrix, method: str = "mode") -> EventMatrix:
     """Single-pass fill of every missing cell; observed cells untouched."""
-    if method not in INITIAL_FILLS:
-        raise ValueError(f"unknown initial imputation method {method!r}; expected one of {tuple(INITIAL_FILLS)}")
+    check_ranges({"method": PARAM_RANGES["initial_method"]}, {"method": method})
     return m if m.is_complete else m.replace_values(INITIAL_FILLS[method](m.values))
 
 
@@ -197,10 +205,7 @@ def em_impute(
     0.5 probabilities resolve to the column mode.  Learner failures
     propagate annotated with the cycle index.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not tol >= 0:  # NaN too: no change fraction is below it
-        raise ValueError("tol must be non-negative")
+    check_ranges(PARAM_RANGES, locals())
     missing_mask = m.values == MISSING
     modes = _column_modes(m.values)
     completed = initial_impute(m, method=initial_method)

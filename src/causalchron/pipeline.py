@@ -21,7 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ._coerce import coerce
+from ._coerce import check_ranges, coerce, declared_ranges
 from ._rng import spawn_seed
 from .bayesnet import (
     Cpt,
@@ -33,7 +33,7 @@ from .bayesnet import (
     sample,
     write_dag,
 )
-from .causal import REFUTATION_MODES, ace_surgery, effects_for_dag
+from .causal import ace_surgery, effects_for_dag
 from .chronology import (
     build_chronology,
     compare_models,
@@ -44,7 +44,7 @@ from .chronology import (
 )
 from .dataset import EventMatrix, exclude_events, load_reads, missingness_profile, save_reads
 from .discovery import LEARNER_NAMES, get_learner
-from .imputation import INITIAL_FILLS, em_impute
+from .imputation import em_impute
 
 __all__ = [
     "ScenarioSpec",
@@ -231,9 +231,9 @@ def simulate(spec: ScenarioSpec) -> tuple[EventMatrix, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _default(fn, param: str):
-    """The default ``fn`` declares for ``param``: a stage's signature is the one home of its defaults."""
-    return inspect.signature(fn).parameters[param].default
+def _stage_field(fn, param: str):
+    """A field for ``param`` of stage ``fn``, with the default of ``fn``'s signature and the range of its module."""
+    return field(default=inspect.signature(fn).parameters[param].default, metadata={"range": declared_ranges(fn)[param]})
 
 
 @dataclass(frozen=True)
@@ -243,16 +243,16 @@ class PipelineConfig:
     input_path: str | None = None
     scenario: ScenarioSpec | None = None
     exclude: tuple[str, ...] = ()
-    impute_method: str = _default(em_impute, "initial_method")
+    impute_method: str = _stage_field(em_impute, "initial_method")
     impute_learner: str = "hc"
-    impute_tol: float = _default(em_impute, "tol")
-    impute_max_iter: int = _default(em_impute, "max_iter")
-    ess: float = _default(effects_for_dag, "ess")
+    impute_tol: float = _stage_field(em_impute, "tol")
+    impute_max_iter: int = _stage_field(em_impute, "max_iter")
+    ess: float = _stage_field(fit_cpts, "ess")
     algorithms: tuple[str, ...] = ("hc", "pc", "lingam", "notears")
     learner_params: dict = field(default_factory=dict)
-    refutations: str = _default(effects_for_dag, "refutations")
+    refutations: str = _stage_field(effects_for_dag, "refutations")
     reference_models: tuple[tuple[str, str], ...] = ()  # (name, dag file)
-    falsify_perms: int = _default(falsify, "n_perm")
+    falsify_perms: int = _stage_field(falsify, "n_perm")
     seed: int = 0
     output_dir: str = "run"
     jobs: int = 1  # accepted for old configs and scripts; no stage runs in parallel, so it has no effect
@@ -272,15 +272,10 @@ class PipelineConfig:
             ("reference_models", len(set(models)) == len(models), "names must not repeat or equal an algorithm"),
             ("reference_models", all(n and "/" not in n for n in names), "names must be non-empty without '/'"),
             ("impute_learner", self.impute_learner in LEARNER_NAMES, f"must be one of {LEARNER_NAMES}"),
-            ("ess", self.ess >= 0, "must be non-negative"),
-            ("impute_method", self.impute_method in INITIAL_FILLS, f"must be one of {tuple(INITIAL_FILLS)}"),
-            ("impute_max_iter", self.impute_max_iter >= 1, "must be at least 1"),
-            ("impute_tol", self.impute_tol >= 0, "must be non-negative"),
-            ("refutations", self.refutations in REFUTATION_MODES, f"must be one of {REFUTATION_MODES}"),
-            ("falsify_perms", self.falsify_perms >= 0, "must be non-negative"),
         ):
             if not ok:
                 raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
+        check_ranges({f.name: f.metadata["range"] for f in fields(self) if "range" in f.metadata}, vars(self))
         for name, params in self.learner_params.items():
             if not (isinstance(params, dict) and all(isinstance(key, str) for key in params)):
                 raise ValueError(f"learner_params[{name!r}] must map parameter names to values, got {params!r}")
@@ -426,8 +421,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         }
 
     for name, path in cfg.reference_models:
-        edges = stage(f"reference:{name}", read_dag, path).edges
-        models.append((name, stage(f"reference:{name}", Dag, completed.columns, edges)))
+        models.append((name, stage(f"reference:{name}", read_dag, path, completed.columns)))
 
     scores = stage("compare", compare_models, models, completed, ess=cfg.ess)
     emit("scores.csv", scores_to_csv(scores))

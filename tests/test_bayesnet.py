@@ -563,6 +563,13 @@ class TestMarginal:
         assert table[1, 1] == 0.9 and table[0, 1] == 0.2
         assert not table.flags.writeable
 
+    @pytest.mark.parametrize("p", [np.nan, -0.1, 1.1])
+    def test_cpt_rejects_a_probability_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            Cpt("a", (), np.array([p]))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            Cpt("b", ("a",), np.array([0.5, p]))
+
 
 class TestDSeparation:
     def test_chain(self):

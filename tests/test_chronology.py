@@ -320,7 +320,7 @@ class TestFalsify:
 
     def test_negative_perms_rejected(self):
         net = preset_network("chain-3")
-        with pytest.raises(ValueError, match="n_perm must be non-negative"):
+        with pytest.raises(ValueError, match="'n_perm' must be non-negative"):
             falsify(net.dag, sample(net, 100, seed=0), n_perm=-1)
 
     def test_misoriented_collider_rejected(self):

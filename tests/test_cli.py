@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from causalchron.bayesnet import Dag, read_dag, write_dag
+from causalchron.bayesnet import Dag, fit_cpts, read_dag, write_dag
+from causalchron.causal import effects_for_dag
+from causalchron.chronology import compare_models, deterministic_chronology, falsify
 from causalchron.cli import main
 from causalchron.dataset import load_reads, save_reads
+from causalchron.discovery import get_learner
+from causalchron.imputation import em_impute
 
 
 @pytest.fixture
@@ -55,7 +59,7 @@ class TestImputeCommand:
     def test_negative_tol_exit_1(self, chain_data, tmp_path, capsys):
         out = tmp_path / "imp"
         assert main(["impute", "--data", str(chain_data), "--tol", "-1", "--out", str(out)]) == 1
-        assert "tol must be non-negative" in capsys.readouterr().err
+        assert "'tol' must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -226,7 +230,7 @@ class TestFalsifyCommand:
         write_dag(Dag(("x1", "x2", "x3", "x4"), [("x1", "x2")]), dag_path)
         code = main(["falsify", "--dag", str(dag_path), "--data", str(chain_data), "--perms", "-1"])
         assert code == 1
-        assert "n_perm must be non-negative" in capsys.readouterr().err
+        assert "'n_perm' must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value", [("--alpha-f", "-1"), ("--alpha-f", "nan"), ("--alpha-ci", "2"), ("--alpha-ci", "-1")]
@@ -340,3 +344,132 @@ class TestMalformedInputExitCodes:
         cfg_path.write_text(json.dumps({"input_path": str(data), "algorithms": ["hc"], "refutations": "none"}))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == pipeline_code
         assert main(["impute", "--data", str(data), "--out", str(tmp_path / "imp")]) == impute_code
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["impute", "--data", "x.csv", "--out", "y", "--method", "bogus"],
+            ["baseline", "--data", "x.csv", "--out", "y", "--correction", "bogus"],
+            ["discover", "--data", "x.csv", "--out", "y", "--algo", "bogus"],
+            ["impute", "--data", "x.csv", "--out", "y", "--max-iter", "abc"],
+            ["impute", "--out", "y"],
+            ["bogus"],
+        ],
+    )
+    def test_usage_error_exit_1(self, capsys, argv):
+        # 2 is the code of a failed pipeline stage
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+#: each stage parameter with a value out of its range: the library calls that take
+#: it (on a chain-4 matrix and a DAG over its columns), the config key that sets
+#: it (None when no key does), and the CLI command and option that set it
+_NAN, _INF = float("nan"), float("inf")
+_STAGE_PARAMETERS = {
+    "ess": (
+        (
+            lambda m, g, v: fit_cpts(g, m, ess=v),
+            lambda m, g, v: em_impute(m, get_learner("hc"), ess=v),
+            lambda m, g, v: effects_for_dag(fit_cpts(g, m), m, ess=v),
+            lambda m, g, v: compare_models([("g", g)], m, ess=v),
+        ),
+        "ess",
+        (("effects", "--ess"), ("compare", "--ess"), ("impute", "--ess")),
+    ),
+    "tol": ((lambda m, g, v: em_impute(m, get_learner("hc"), tol=v),), "impute_tol", (("impute", "--tol"),)),
+    "max_iter": (
+        (lambda m, g, v: em_impute(m, get_learner("hc"), max_iter=v),),
+        "impute_max_iter",
+        (("impute", "--max-iter"),),
+    ),
+    "initial_method": (
+        (lambda m, g, v: em_impute(m, get_learner("hc"), initial_method=v),),
+        "impute_method",
+        (("impute", "--method"),),
+    ),
+    "refutations": (
+        (lambda m, g, v: effects_for_dag(fit_cpts(g, m), m, refutations=v),),
+        "refutations",
+        (("effects", "--refute"),),
+    ),
+    "correction": ((lambda m, g, v: deterministic_chronology(m, correction=v),), None, (("baseline", "--correction"),)),
+    "n_perm": ((lambda m, g, v: falsify(g, m, n_perm=v),), "falsify_perms", (("falsify", "--perms"),)),
+}
+
+
+class TestStageParameterRanges:
+    """The library, the config and the CLI reject the same stage parameter values."""
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("ess", -1.0),
+            ("ess", _NAN),
+            ("ess", _INF),
+            ("tol", -1.0),
+            ("tol", _NAN),
+            ("tol", _INF),
+            ("max_iter", 0),
+            ("initial_method", "x"),
+            ("refutations", "x"),
+            ("correction", "x"),
+            ("n_perm", -1),
+        ],
+    )
+    def test_rejected_everywhere(self, chain_data, tmp_path, capsys, param, value):
+        from causalchron.pipeline import PipelineConfig, ScenarioSpec
+
+        calls, key, commands = _STAGE_PARAMETERS[param]
+        matrix = load_reads(chain_data)
+        dag = Dag(matrix.columns, [("x1", "x2"), ("x2", "x3"), ("x3", "x4")])
+        for call in calls:
+            with pytest.raises(ValueError, match=f"'{param}' must be"):
+                call(matrix, dag, value)
+        if key is not None:
+            with pytest.raises(ValueError, match=f"^'?{key}'? must be"):
+                PipelineConfig(scenario=ScenarioSpec(preset="chain-4", n_rows=50), **{key: value})
+        dag_path = tmp_path / "dag.edges"
+        write_dag(dag, dag_path)
+        inputs = {
+            "effects": ["--dag", str(dag_path), "--data", str(chain_data)],
+            "compare": ["--model", f"g={dag_path}", "--data", str(chain_data)],
+            "impute": ["--data", str(chain_data)],
+            "baseline": ["--data", str(chain_data)],
+            "falsify": ["--dag", str(dag_path), "--data", str(chain_data)],
+        }
+        for command, option in commands:
+            out = tmp_path / command
+            assert main([command, *inputs[command], option, str(value), "--out", str(out)]) == 1
+            assert not out.exists()
+
+
+class TestDagFilesReadOntoTheDataColumns:
+    def test_effects_and_compare_reproduce_the_pipeline_bytes(self, tmp_path, capsys):
+        # the learned graphs' edge lists name their nodes in another order than the
+        # data's columns, which set elimination, tie and adjustment-set order
+        from causalchron.pipeline import PipelineConfig, ScenarioSpec, run_pipeline
+
+        run = tmp_path / "run"
+        algos = ("hc", "lingam")
+        run_pipeline(PipelineConfig(
+            scenario=ScenarioSpec(preset="random-8-0.3", n_rows=400, seed=0),
+            algorithms=algos,
+            refutations="none",
+            output_dir=str(run),
+        ))
+        data = str(run / "data.imputed.csv")
+        for algo in algos:
+            out = tmp_path / f"effects-{algo}"
+            argv = ["effects", "--dag", str(run / f"dag.{algo}.edges"), "--data", data, "--refute", "none"]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert (out / "effects.csv").read_bytes() == (run / f"effects.{algo}.csv").read_bytes()
+        models = [arg for algo in algos for arg in ("--model", f"{algo}={run / f'chronology.{algo}.edges'}")]
+        assert main(["compare", "--data", data, *models, "--out", str(tmp_path / "scores.csv")]) == 0
+        assert (tmp_path / "scores.csv").read_bytes() == (run / "scores.csv").read_bytes()

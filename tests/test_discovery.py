@@ -1,5 +1,6 @@
 """Structure learners: hill climbing, PC, direct ordering, and registry."""
 
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from causalchron.bayesnet import Cpt, Dag, DiscreteBayesNet, sample
 from causalchron.dataset import EventMatrix
-from causalchron.discovery import ci_test_g2, get_learner, hc_learn, lingam_learn, pc, pc_learn
+from causalchron.discovery import ci_test_g2, get_learner, hc, hc_learn, lingam_learn, pc, pc_learn
 from causalchron.pipeline import preset_network
 
 from conftest import random_network
@@ -43,7 +44,7 @@ class TestHillClimbing:
 
     def test_score_trajectory_strictly_increasing(self):
         data = sample(preset_network("chain-5"), 2000, seed=3)
-        _, trace = hc_learn(data, return_trace=True)
+        trace = hc._climb(hc._SearchState(data), None)
         assert all(b > a for a, b in zip(trace, trace[1:]))
 
     def test_max_indegree_respected(self):
@@ -368,3 +369,24 @@ class TestRegistry:
     def test_out_of_range_parameters_rejected_at_lookup(self, name, key, value):
         with pytest.raises(ValueError, match=f"learner '{name}' parameter '{key}' must be"):
             get_learner(name, **{key: value})
+
+    def test_keys_and_ranges_follow_a_wrapped_function(self, monkeypatch):
+        # the registry reads a learner's keys off its signature and its ranges off its
+        # module, and a functools.wraps wrapper carries both
+        from causalchron import discovery
+
+        calls = []
+
+        @functools.wraps(hc_learn)
+        def wrapped(*args, **kwargs):
+            calls.append(kwargs)
+            return hc_learn(*args, **kwargs)
+
+        monkeypatch.setitem(discovery._LEARNERS, "hc", (wrapped, lambda dag: dag))
+        with pytest.raises(ValueError, match="learner 'hc' takes no parameter 'seed'; it takes max_indegree, restarts"):
+            get_learner("hc", seed=1)
+        with pytest.raises(ValueError, match="learner 'hc' parameter 'restarts' must be non-negative"):
+            get_learner("hc", restarts=-1)
+        data = sample(preset_network("chain-3"), 500, seed=0)
+        assert get_learner("hc", restarts=1)(data, 7) == hc_learn(data, restarts=1, seed=7)
+        assert calls == [{"restarts": 1, "seed": 7}]

@@ -41,7 +41,7 @@ class TestInitialImpute:
 
     def test_unknown_method(self):
         m = matrix(["x"], [[1], [MISSING]])
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match="'method' must be one of"):
             initial_impute(m, "median")
 
     def test_round_robin_uses_neighbors(self):
